@@ -10,7 +10,7 @@ matched one step earlier.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lookupdb import (
     Entry,
@@ -18,7 +18,14 @@ from .lookupdb import (
     record_contexts,
     update_probability,
 )
-from .window import ClassificationId, Observation, ObservationWindow, StepId
+from .errors import WindowRangeError
+from .window import (
+    ClassificationId,
+    ContextId,
+    Observation,
+    ObservationWindow,
+    StepId,
+)
 
 ENGINE_MODES = ("context", "baseline")
 CONTEXT_UPDATE_SCOPES = ("correct-only", "all-matching")
@@ -73,23 +80,34 @@ class ContextEvidence(NamedTuple):
 
 def context_fit(
     entry: Entry,
-    window: ObservationWindow,
+    table: Sequence[Mapping[ClassificationId, ContextId]],
     classifications: Iterable[ClassificationId],
 ) -> list[ContextEvidence]:
     """Weights of the window's current contexts under the entry's counters.
 
-    The entry must match the window at offset 0.  Positions where the
+    ``table`` is the window's ObservationWindow.context_table(), and the
+    entry must match the window at offset 0.  Positions where the
     context is unknown, or where the entry has never counted anything,
     contribute no evidence at all; a known context that the entry has
     counted past but never in this value contributes weight 0.
     """
+    length = len(entry.condition)
+    if length > len(table):
+        raise WindowRangeError(
+            f"condition of length {length} is longer than the {len(table)} "
+            "populated window positions"
+        )
     evidence: list[ContextEvidence] = []
-    for i in range(1 - len(entry.condition), 1):
+    slots = entry.slots
+    if not slots:
+        return evidence
+    for i in range(1 - length, 1):
+        contexts = table[-i]
         for cc in classifications:
-            ctx = window.context_at(i, cc)
+            ctx = contexts.get(cc)
             if ctx is None:
                 continue
-            slot = entry.slots.get((cc, i))
+            slot = slots.get((cc, i))
             if slot is None or slot.total == 0:
                 continue
             evidence.append(ContextEvidence(i, cc, ctx, slot.weight(ctx)))
@@ -140,8 +158,6 @@ class LearnReport:
     """
 
     correct: bool | None
-    entries_added: int = 0
-    entries_updated: int = 0
 
 
 @dataclass
@@ -162,6 +178,11 @@ class Engine:
         # Sorted once: evidence and counter iteration order stays stable.
         self._classification_order = tuple(sorted(self.classifications))
         self._last_prediction: StepId | None = None
+        # What the last predict() matched, for learn() to reuse: the db,
+        # its size, the window, its push count, and the entries.
+        self._predicted_matches: (
+            tuple[LookupDB, int, ObservationWindow, int, list[Entry]] | None
+        ) = None
 
     @property
     def last_prediction(self) -> StepId | None:
@@ -172,11 +193,17 @@ class Engine:
 
         The suggestion is remembered and scored by the next learn().
         """
+        matches = self.db.matching_entries(self.window, offset=0)
+        self._predicted_matches = (
+            self.db, len(self.db), self.window, self.window.pushes, matches
+        )
+        scoring = self.config.engine_mode == "context"
+        table = self.window.context_table() if scoring else None
         candidates = []
-        for entry in self.db.matching_entries(self.window, offset=0):
-            if self.config.engine_mode == "context":
+        for entry in matches:
+            if scoring:
                 fit = relevance_mean(
-                    context_fit(entry, self.window, self._classification_order),
+                    context_fit(entry, table, self._classification_order),
                     self.config.theta,
                 )
             else:
@@ -219,35 +246,55 @@ class Engine:
         if self._last_prediction is not None:
             correct = self._last_prediction == observation.step
         prior_count = len(self.db)
-        entries_added = self._add_pair_rule()
-        matched = [
-            entry
-            for entry in self.db.matching_entries(self.window, offset=1)
-            if entry.entry_id < prior_count
-        ]
+        self._add_pair_rule()
+        matched = self._matches_one_step_ago(prior_count)
         for entry in matched:
             hit = entry.prediction == self.window.step_at(0)
             entry.p = update_probability(entry.p, self.config.alpha, hit)
             if hit or self.config.context_update_scope == "all-matching":
                 record_contexts(entry, self.window, 1, self._classification_order)
         if correct:
-            entries_added += self._extend(matched, prior_count)
+            self._extend(matched, prior_count)
         self._last_prediction = None
-        return LearnReport(correct, entries_added, len(matched))
+        return LearnReport(correct)
 
-    def _add_pair_rule(self) -> int:
+    def _matches_one_step_ago(self, prior_count: int) -> list[Entry]:
+        """Entries older than ``prior_count`` matching the window at offset 1.
+
+        When predict() saw this db at this size and the window has had
+        exactly one push since, its offset-0 matches are the offset-1
+        matches now, except rules as long as a full window: the push
+        evicted the oldest step they matched.
+        """
+        predicted, self._predicted_matches = self._predicted_matches, None
+        if predicted is not None:
+            db, count, window, pushes, matches = predicted
+            if (
+                db is self.db
+                and count == prior_count
+                and window is self.window
+                and pushes + 1 == window.pushes
+            ):
+                longest = len(self.window) - 1
+                return [entry for entry in matches if len(entry.condition) <= longest]
+        return [
+            entry
+            for entry in self.db.matching_entries(self.window, offset=1)
+            if entry.entry_id < prior_count
+        ]
+
+    def _add_pair_rule(self) -> None:
         """Store previous-step -> current-step unless already known."""
         if len(self.window) < 2:
-            return 0
+            return
         condition = (self.window.step_at(-1),)
         prediction = self.window.step_at(0)
         if self.db.find(condition, prediction) is not None:
-            return 0
+            return
         entry = self.db.add(condition, prediction, 1.0 - self.config.alpha)
         record_contexts(entry, self.window, 1, self._classification_order)
-        return 1
 
-    def _extend(self, matched: list[Entry], prior_count: int) -> int:
+    def _extend(self, matched: list[Entry], prior_count: int) -> None:
         """Grow confirmed rules by one step; children inherit one p.
 
         The inherited p comes from the longest currently-matching rule
@@ -269,7 +316,6 @@ class Engine:
             inherit_p = donor.p
         else:
             inherit_p = 1.0 - self.config.alpha
-        added = 0
         for parent in matched:
             length = len(parent.condition)
             if length >= self.window.capacity:
@@ -291,8 +337,6 @@ class Engine:
             # as "nothing speaks against it" until the child earns its
             # own evidence.
             self.db.add(condition, parent.prediction, inherit_p)
-            added += 1
-        return added
 
     def reset(self) -> None:
         """Return to the freshly-constructed state; only config survives."""
@@ -301,3 +345,4 @@ class Engine:
         )
         self.db = LookupDB()
         self._last_prediction = None
+        self._predicted_matches = None

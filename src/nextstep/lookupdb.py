@@ -13,6 +13,7 @@ equal databases serialize byte-identically.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
@@ -99,8 +100,9 @@ def record_contexts(
     classification was actually observed there.
     """
     for i in range(1 - len(entry.condition), 1):
+        contexts = window.observation_at(i - offset).contexts
         for cc in classifications:
-            ctx = window.context_at(i - offset, cc)
+            ctx = contexts.get(cc)
             if ctx is None:
                 continue
             slot = entry.slots.get((cc, i))
@@ -127,10 +129,6 @@ class LookupDB:
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self._entries)
-
-    @property
-    def max_condition_length(self) -> int:
-        return self._max_length
 
     def entry(self, entry_id: int) -> Entry:
         return self._entries[entry_id]
@@ -206,8 +204,22 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
 
 
 def write_snapshot(db: LookupDB, alpha: float, theta: float, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dump_snapshot(db, alpha, theta))
+    """Write the snapshot to ``path`` atomically.
+
+    The text goes to a fresh temporary file beside ``path`` that then
+    replaces it, so a failed dump or write leaves any previous snapshot
+    intact and no temporary file behind.
+    """
+    text = dump_snapshot(db, alpha, theta)
+    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
+    handle = open(temporary, "x", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:

@@ -63,6 +63,9 @@ class ObservationWindow:
         for cc in self.classifications:
             _require_id("classification", cc)
         self._entries: deque[Observation] = deque(maxlen=capacity)
+        # Successful pushes so far; lets a reader tell whether the
+        # window moved since it last looked.
+        self.pushes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -77,6 +80,7 @@ class ObservationWindow:
             if not isinstance(ctx, int) or isinstance(ctx, bool) or ctx < 0:
                 raise UnknownIdError(f"context id {ctx!r} must be a non-negative int")
         self._entries.appendleft(observation)
+        self.pushes += 1
 
     def observation_at(self, index: int) -> Observation:
         """Observation ``-index`` steps ago; 0 is the newest."""
@@ -95,6 +99,14 @@ class ObservationWindow:
         if classification not in self.classifications:
             raise UnknownIdError(f"classification {classification!r} is not declared")
         return self.observation_at(index).contexts.get(classification)
+
+    def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:
+        """Context mappings of every populated position, newest first.
+
+        ``table[-index]`` is the mapping at window index ``index``.  The
+        mappings are the observations' own and must not be modified.
+        """
+        return [observation.contexts for observation in self._entries]
 
     def contexts_at(self, index: int) -> dict[ClassificationId, ContextId]:
         return dict(self.observation_at(index).contexts)

@@ -110,7 +110,7 @@ def test_context_fit_reads_condition_positions():
     newer.record(8)
     newer.record(9)
     entry.slots[(0, 0)] = newer
-    got = context_fit(entry, window, (0, 1))
+    got = context_fit(entry, window.context_table(), (0, 1))
     # classification 1 at index -1 is absent from the window record and
     # the (1, 0) slot was never counted, so neither contributes
     assert got == [
@@ -127,7 +127,7 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     slot = ContextSlot()
     slot.record(5)
     entry.slots[(0, 0)] = slot
-    got = context_fit(entry, window, (0,))
+    got = context_fit(entry, window.context_table(), (0,))
     assert got == [ContextEvidence(0, 0, 6, 0.0)]
     # one piece of evidence, none above threshold: hard veto
     assert relevance_mean(got, 0.5) == 0.0
@@ -462,13 +462,48 @@ def random_events(rng, count):
     return events
 
 
-@pytest.mark.parametrize("mode,scope,ext_scope,direction", list(itertools.product(
-    ("context", "baseline"),
-    ("correct-only", "all-matching"),
-    ("all-matching", "correct-only"),
-    ("append-observation", "extend-into-past"),
-)))
-def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, direction):
+def make_shadow(capacity=10, **overrides):
+    return RefEngine(alpha=0.8, theta=0.5, capacity=capacity,
+                     classifications=(0, 1), **overrides)
+
+
+def run_lockstep(engine, shadow, events, between=None, skip_predict=()):
+    """Drive engine and shadow through the same events, comparing each
+    prediction and score.  ``between(t)`` runs after step t's predict()
+    and before its learn(); steps in ``skip_predict`` call learn() only."""
+    for t, (step, contexts) in enumerate(events):
+        if t not in skip_predict:
+            mine = engine.predict()
+            theirs = shadow.predict()
+            if mine is None:
+                assert theirs is None
+            else:
+                assert theirs == (mine.step, mine.actual_p, mine.entry_id)
+        if between is not None:
+            between(t)
+        report = engine.learn(Observation(step, contexts))
+        assert report.correct == shadow.learn(step, contexts)
+    assert engine_state(engine) == shadow.state()
+
+
+SHADOW_CASES = [
+    pytest.param(
+        *combo, capacity,
+        id="-".join(combo) + ("" if capacity == 5 else f"-capacity{capacity}"),
+    )
+    for capacity in (5, 2)
+    for combo in itertools.product(
+        ("context", "baseline"),
+        ("correct-only", "all-matching"),
+        ("all-matching", "correct-only"),
+        ("append-observation", "extend-into-past"),
+    )
+]
+
+
+@pytest.mark.parametrize("mode,scope,ext_scope,direction,capacity", SHADOW_CASES)
+def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, direction,
+                                                    capacity):
     for seed in (11, 12, 13):
         rng = random.Random(seed)
         config = PredictorConfig(
@@ -476,22 +511,82 @@ def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, dire
             context_update_scope=scope,
             extension_scope=ext_scope,
             extension_direction=direction,
-            window_capacity=5,
+            window_capacity=capacity,
         )
         engine = Engine(config, steps=(1, 2, 3, 4), classifications=(0, 1))
-        shadow = RefEngine(alpha=0.8, theta=0.5, capacity=5, mode=mode,
-                           context_scope=scope, extension_scope=ext_scope,
-                           direction=direction, classifications=(0, 1))
-        for step, contexts in random_events(rng, 140):
-            mine = engine.predict()
-            theirs = shadow.predict()
-            if mine is None:
-                assert theirs is None
-            else:
-                assert theirs == (mine.step, mine.actual_p, mine.entry_id)
-            report = engine.learn(Observation(step, contexts))
-            assert report.correct == shadow.learn(step, contexts)
-        assert engine_state(engine) == shadow.state()
+        shadow = make_shadow(capacity, mode=mode, context_scope=scope,
+                             extension_scope=ext_scope, direction=direction)
+        run_lockstep(engine, shadow, random_events(rng, 140))
+
+
+# -- learn() reusing predict()'s matches ---------------------------------------
+
+
+def test_full_window_capacity_rules_drop_out_of_reused_matches():
+    engine = make_engine(window_capacity=2)
+    shadow = make_shadow(2)
+    full_window_hits = []
+    original_predict = engine.predict
+
+    def predict():
+        result = original_predict()
+        if result is not None and len(engine.window) == 2:
+            full_window_hits.extend(
+                c for c in result.candidates if c.condition_length == 2
+            )
+        return result
+
+    engine.predict = predict
+    run_lockstep(engine, shadow, random_events(random.Random(21), 200))
+    assert full_window_hits
+
+
+def test_learn_without_predict_matches_afresh():
+    engine = make_engine()
+    shadow = make_shadow()
+    events = random_events(random.Random(22), 200)
+    run_lockstep(engine, shadow, events, skip_predict=set(range(0, 200, 3)))
+
+
+def test_rule_added_between_predict_and_learn_is_updated():
+    engine = make_engine()
+    shadow = make_shadow()
+    added = []
+
+    def add_rule(t):
+        # the newest window steps as a still-unknown rule, longest first
+        # but short enough to still match one step back after the push
+        longest = min(len(engine.window), engine.window.capacity - 1)
+        for length in range(longest, 0, -1):
+            condition = tuple(engine.window.step_at(i) for i in range(1 - length, 1))
+            for prediction in (1, 2, 3, 4):
+                if engine.db.find(condition, prediction) is None:
+                    engine.db.add(condition, prediction, 0.5)
+                    shadow.entries.append(
+                        {"cond": condition, "pred": prediction, "p": 0.5, "slots": {}}
+                    )
+                    added.append(engine.db.entry(len(engine.db) - 1))
+                    return
+
+    run_lockstep(engine, shadow, random_events(random.Random(23), 120),
+                 between=lambda t: t % 5 == 4 and add_rule(t))
+    assert added and all(entry.p != 0.5 for entry in added)
+
+
+def test_push_between_predict_and_learn_is_seen():
+    engine = make_engine()
+    shadow = make_shadow()
+    extra = random_events(random.Random(24), 200)
+
+    def push(t):
+        step, contexts = extra[t]
+        engine.window.push(Observation(step, contexts))
+        shadow.win.append((step, dict(contexts)))
+        if len(shadow.win) > shadow.capacity:
+            shadow.win.pop(0)
+
+    run_lockstep(engine, shadow, random_events(random.Random(25), 200),
+                 between=lambda t: t % 4 == 1 and push(t))
 
 
 def test_counters_stay_conserved_on_random_traffic():

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import nextstep.lookupdb
 from nextstep import (
     ContextSlot,
     LookupDB,
@@ -93,6 +94,36 @@ def test_file_round_trip(tmp_path):
     write_snapshot(small_db(), 0.8, 0.5, path)
     db, alpha, theta = read_snapshot(path)
     assert dump_snapshot(db, alpha, theta) == dump_snapshot(small_db(), 0.8, 0.5)
+
+
+def test_failed_dump_keeps_the_previous_snapshot(tmp_path, monkeypatch):
+    path = tmp_path / "rules.db"
+    write_snapshot(small_db(), 0.8, 0.5, path)
+    before = path.read_bytes()
+
+    def broken_dump(*args):
+        raise RuntimeError("dump failed")
+
+    monkeypatch.setattr(nextstep.lookupdb, "dump_snapshot", broken_dump)
+    with pytest.raises(RuntimeError):
+        write_snapshot(LookupDB(), 0.8, 0.5, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
+
+
+def test_failed_replace_removes_the_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "rules.db"
+    write_snapshot(small_db(), 0.8, 0.5, path)
+    before = path.read_bytes()
+
+    def broken_replace(source, target):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(nextstep.lookupdb.os, "replace", broken_replace)
+    with pytest.raises(OSError):
+        write_snapshot(LookupDB(), 0.8, 0.5, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["rules.db"]
 
 
 def test_parsed_entries_keep_ids_and_values():

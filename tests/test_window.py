@@ -62,6 +62,7 @@ def test_push_rejects_undeclared_step_without_mutating():
         window.push(Observation(9))
     assert len(window) == 1
     assert window.step_at(0) == 1
+    assert window.pushes == 1
 
 
 def test_push_rejects_undeclared_classification_without_mutating():
@@ -86,6 +87,11 @@ def test_context_lookup():
     assert window.context_at(-1, 0) == 5
     # context classification recorded on neither observation
     assert window.context_at(-1, 1) is None
+    # the whole-window read agrees: table[-index] is window index index
+    table = window.context_table()
+    assert len(table) == 2
+    assert table[0] == {0: 6, 1: 1}
+    assert table[1] == {0: 5}
 
 
 def test_undeclared_classification_lookup_raises():
