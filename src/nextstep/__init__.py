@@ -14,7 +14,6 @@ from .engine import (
     LearnReport,
     PredictionResult,
     PredictorConfig,
-    ScoredCandidate,
     context_fit,
     relevance_mean,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ObservationWindow",
     "PredictionResult",
     "PredictorConfig",
-    "ScoredCandidate",
     "SnapshotFormatError",
     "TraceFormatError",
     "UnknownIdError",

@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
+from .atomicwrite import write_text_atomically
 from .engine import (
     CONTEXT_UPDATE_SCOPES,
     ENGINE_MODES,
@@ -104,8 +105,7 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    write_text_atomically(path, text)
 
 
 def _parse_id_list(text: str, what: str) -> tuple[int, ...]:

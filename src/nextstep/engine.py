@@ -1,15 +1,16 @@
 """The online predictor: score matching rules, learn from each step.
 
 The engine keeps a sliding window of recent observations and a rule
-database.  predict() ranks the rules whose condition matches the
-window's newest steps; learn() pushes the next observation and then
-reinforces, decays, counts contexts into, and extends the rules that
-matched one step earlier.
+database.  predict() suggests the best-scoring rule whose condition
+matches the window's newest steps; learn() pushes the next observation
+and then reinforces, decays, counts contexts into, and extends the rules
+that matched one step earlier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .lookupdb import (
@@ -115,10 +116,12 @@ def context_fit(
 
 
 def relevance_mean(evidence: list[ContextEvidence], theta: float) -> float:
-    """Mean of the evidence weights above theta.
+    """Mean of the evidence weights above theta, a fit in [0, 1].
 
     No evidence at all means nothing speaks against the entry: 1.
     Evidence where no weight clears theta vetoes the entry: 0.
+    Every weight is a count over a total, so the mean never exceeds 1;
+    predict() relies on that to stop scoring once no entry can win.
     """
     if not evidence:
         return 1.0
@@ -128,26 +131,14 @@ def relevance_mean(evidence: list[ContextEvidence], theta: float) -> float:
     return sum(above) / len(above)
 
 
-class ScoredCandidate(NamedTuple):
-    """One matching entry with its scores at prediction time."""
-
-    entry_id: int
-    prediction: StepId
-    condition_length: int
-    p: float
-    fit: float
-    actual_p: float
-
-
 @dataclass(frozen=True)
 class PredictionResult:
-    """The winning suggestion plus every candidate it beat."""
+    """The winning suggestion and the rule it came from."""
 
     step: StepId
     actual_p: float
     entry_id: int
     condition: tuple[StepId, ...]
-    candidates: tuple[ScoredCandidate, ...]
 
 
 @dataclass(frozen=True)
@@ -191,6 +182,12 @@ class Engine:
     def predict(self) -> PredictionResult | None:
         """Suggest the next step, or None when no rule matches.
 
+        The winner has the highest actual p = fit * p; ties go to the
+        shorter condition, then the higher p, then the older entry.  A
+        fit is at most 1, so actual p never exceeds p: matches are
+        scored in descending p and the scan stops at the first whose p
+        is below the best actual p so far, as neither it nor any later
+        match can win.  An equal p can still tie, so it is scored.
         The suggestion is remembered and scored by the next learn().
         """
         matches = self.db.matching_entries(self.window, offset=0)
@@ -199,8 +196,12 @@ class Engine:
         )
         scoring = self.config.engine_mode == "context"
         table = self.window.context_table() if scoring else None
-        candidates = []
-        for entry in matches:
+        best: Entry | None = None
+        best_key: tuple[float, int, float, int] | None = None
+        best_actual_p = 0.0
+        for entry in sorted(matches, key=attrgetter("p"), reverse=True):
+            if entry.p < best_actual_p:
+                break
             if scoring:
                 fit = relevance_mean(
                     context_fit(entry, table, self._classification_order),
@@ -208,30 +209,16 @@ class Engine:
                 )
             else:
                 fit = 1.0
-            candidates.append(
-                ScoredCandidate(
-                    entry.entry_id,
-                    entry.prediction,
-                    len(entry.condition),
-                    entry.p,
-                    fit,
-                    fit * entry.p,
-                )
-            )
-        if not candidates:
+            actual_p = fit * entry.p
+            key = (-actual_p, len(entry.condition), -entry.p, entry.entry_id)
+            if best_key is None or key < best_key:
+                best, best_key, best_actual_p = entry, key, actual_p
+        if best is None:
             self._last_prediction = None
             return None
-        best = min(
-            candidates,
-            key=lambda c: (-c.actual_p, c.condition_length, -c.p, c.entry_id),
-        )
         self._last_prediction = best.prediction
         return PredictionResult(
-            best.prediction,
-            best.actual_p,
-            best.entry_id,
-            self.db.entry(best.entry_id).condition,
-            tuple(candidates),
+            best.prediction, best_actual_p, best.entry_id, best.condition
         )
 
     def learn(self, observation: Observation) -> LearnReport:
@@ -337,12 +324,3 @@ class Engine:
             # as "nothing speaks against it" until the child earns its
             # own evidence.
             self.db.add(condition, parent.prediction, inherit_p)
-
-    def reset(self) -> None:
-        """Return to the freshly-constructed state; only config survives."""
-        self.window = ObservationWindow(
-            self.config.window_capacity, self.steps, self.classifications
-        )
-        self.db = LookupDB()
-        self._last_prediction = None
-        self._predicted_matches = None

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .atomicwrite import write_text_atomically
 from .engine import Engine, PredictorConfig
 from .errors import TraceFormatError
 from .window import Observation, StepId
@@ -86,8 +87,7 @@ def dump_trace(observations: Iterable[Observation]) -> str:
 
 
 def write_trace(observations: Iterable[Observation], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dump_trace(observations))
+    write_text_atomically(path, dump_trace(observations))
 
 
 def derive_universes(
@@ -187,8 +187,7 @@ def metrics_to_csv(rows: Iterable[MetricsRow]) -> str:
 
 
 def write_metrics_csv(rows: Iterable[MetricsRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(metrics_to_csv(rows))
+    write_text_atomically(path, metrics_to_csv(rows))
 
 
 def render_comparison_svg(
@@ -270,5 +269,4 @@ def write_comparison_svg(
     baseline_rows: Sequence[MetricsRow],
     path: str,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_comparison_svg(context_rows, baseline_rows))
+    write_text_atomically(path, render_comparison_svg(context_rows, baseline_rows))

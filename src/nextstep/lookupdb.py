@@ -13,10 +13,10 @@ equal databases serialize byte-identically.
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TextIO
 
+from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError
 from .window import ClassificationId, ContextId, ObservationWindow, StepId
 
@@ -44,9 +44,6 @@ class ContextSlot:
         if self.total == 0:
             return 0.0
         return self.per_context.get(context, 0) / self.total
-
-    def consistent(self) -> bool:
-        return self.total == sum(self.per_context.values())
 
 
 @dataclass
@@ -206,20 +203,10 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
 def write_snapshot(db: LookupDB, alpha: float, theta: float, path: str) -> None:
     """Write the snapshot to ``path`` atomically.
 
-    The text goes to a fresh temporary file beside ``path`` that then
-    replaces it, so a failed dump or write leaves any previous snapshot
-    intact and no temporary file behind.
+    A failed dump or write leaves any previous snapshot intact and no
+    temporary file behind.
     """
-    text = dump_snapshot(db, alpha, theta)
-    temporary = f"{path}.{os.urandom(4).hex()}.tmp"
-    handle = open(temporary, "x", encoding="utf-8", newline="\n")
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(temporary, path)
-    except BaseException:
-        os.unlink(temporary)
-        raise
+    write_text_atomically(path, dump_snapshot(db, alpha, theta))
 
 
 def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:

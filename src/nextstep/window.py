@@ -108,9 +108,6 @@ class ObservationWindow:
         """
         return [observation.contexts for observation in self._entries]
 
-    def contexts_at(self, index: int) -> dict[ClassificationId, ContextId]:
-        return dict(self.observation_at(index).contexts)
-
 
 def _require_id(kind: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 
 import pytest
 
@@ -101,6 +102,22 @@ def test_run_writes_csv_and_snapshot_files(capsys, tmp_path):
     assert csv_path.read_text().startswith("t,step,")
     assert db_path.read_text().startswith("LOOKUPDB v1 ")
     assert f"wrote {db_path}" in err
+
+
+def test_run_failed_replace_keeps_the_previous_output(capsys, tmp_path, monkeypatch):
+    trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "3")
+    csv_path = tmp_path / "metrics.csv"
+    csv_path.write_text("previous\n")
+
+    def broken_replace(source, target):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    code, _, err = run_cli(capsys, "run", str(trace), "--output", str(csv_path))
+    assert code == 2
+    assert "replace failed" in err
+    assert csv_path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "trace.txt"]
 
 
 def test_run_rejects_out_of_range_alpha(capsys, tmp_path):

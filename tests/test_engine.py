@@ -1,4 +1,4 @@
-"""Predictor engine: scoring, learning pipeline, extension, reset."""
+"""Predictor engine: scoring, learning pipeline, extension."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nextstep.engine
 from nextstep import (
@@ -95,6 +96,16 @@ def test_relevance_averages_only_weights_above_threshold():
 def test_relevance_threshold_is_strict():
     assert relevance_mean(evidence(0.5), 0.5) == 0.0
     assert relevance_mean(evidence(0.500001), 0.5) > 0.0
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_relevance_stays_within_unit_interval(weights, theta):
+    # predict() stops scoring once p drops below the best fit * p, which
+    # is only exact while no fit exceeds 1
+    assert 0.0 <= relevance_mean(evidence(*weights), theta) <= 1.0
 
 
 def test_context_fit_reads_condition_positions():
@@ -198,14 +209,67 @@ def test_baseline_mode_ignores_context_weights():
         assert engine.predict().step == expected
 
 
-def test_prediction_result_lists_all_candidates():
+def test_prediction_result_names_the_winning_entry():
     engine = make_engine()
     engine.learn(Observation(3))
     engine.db.add((3,), 1, 0.4)
     engine.db.add((3,), 2, 0.6)
     result = engine.predict()
-    assert {c.entry_id for c in result.candidates} == {0, 1}
     assert result.entry_id == 1
+
+
+# -- the bounded scan ---------------------------------------------------------
+
+
+def slot_of(*contexts):
+    """Counters that have seen exactly these contexts."""
+    slot = ContextSlot()
+    for context in contexts:
+        slot.record(context)
+    return slot
+
+
+def test_vetoed_top_rule_yields_to_a_lower_p_rule():
+    engine = make_engine()
+    engine.learn(Observation(3, {0: 7}))
+    top = engine.db.add((3,), 1, 0.9)
+    top.slots[(0, 0)] = slot_of(8)  # never saw context 7: veto
+    engine.db.add((3,), 2, 0.3)
+    engine.db.add((3,), 4, 0.2)
+    result = engine.predict()
+    assert (result.step, result.actual_p) == (2, 0.3)
+
+
+def test_rule_whose_p_equals_the_leading_actual_p_is_still_scored():
+    # the leader's actual p is 0.5 * 0.8 == 0.4 exactly; the shorter
+    # rule's p is also 0.4, so the scan must not stop there: it ties on
+    # actual p and wins on condition length
+    engine = make_engine(theta=0.25)
+    engine.learn(Observation(2))
+    engine.learn(Observation(3, {0: 7}))
+    leader = engine.db.add((2, 3), 1, 0.8)
+    leader.slots[(0, 0)] = slot_of(7, 8)
+    engine.db.add((3,), 4, 0.4)
+    result = engine.predict()
+    assert (result.step, result.actual_p, result.condition) == (4, 0.4, (3,))
+
+
+def test_scan_stops_once_no_rule_can_win(monkeypatch):
+    engine = make_engine()
+    engine.learn(Observation(3))
+    engine.db.add((3,), 1, 0.9)
+    for prediction in (2, 3, 4):
+        engine.db.add((3,), prediction, 0.1)
+    calls = []
+
+    def counting_fit(*args):
+        calls.append(args[0].entry_id)
+        return context_fit(*args)
+
+    monkeypatch.setattr(nextstep.engine, "context_fit", counting_fit)
+    assert len(engine.db.matching_entries(engine.window)) == 4
+    assert engine.predict().step == 1
+    assert calls == [0]
 
 
 # -- the frozen 2,3 cycle ----------------------------------------------------
@@ -402,23 +466,6 @@ def test_into_past_needs_an_older_observation():
     assert max(len(e.condition) for e in engine.db) == 1
 
 
-# -- reset ---------------------------------------------------------------------
-
-
-def test_reset_clears_window_db_and_pending_prediction():
-    engine = make_engine()
-    feed(engine, [2, 3, 2, 3])
-    engine.predict()
-    config = engine.config
-    engine.reset()
-    assert len(engine.window) == 0
-    assert len(engine.db) == 0
-    assert engine.last_prediction is None
-    assert engine.config is config
-    # still fully usable
-    assert feed(engine, [2, 3, 2, 3])[3] == 3
-
-
 # -- baseline equivalence --------------------------------------------------------
 
 
@@ -529,12 +576,12 @@ def test_full_window_capacity_rules_drop_out_of_reused_matches():
     original_predict = engine.predict
 
     def predict():
-        result = original_predict()
-        if result is not None and len(engine.window) == 2:
+        if len(engine.window) == 2:
             full_window_hits.extend(
-                c for c in result.candidates if c.condition_length == 2
+                entry for entry in engine.db.matching_entries(engine.window)
+                if len(entry.condition) == 2
             )
-        return result
+        return original_predict()
 
     engine.predict = predict
     run_lockstep(engine, shadow, random_events(random.Random(21), 200))
@@ -597,4 +644,4 @@ def test_counters_stay_conserved_on_random_traffic():
         engine.learn(Observation(step, contexts))
     for entry in engine.db:
         for slot in entry.slots.values():
-            assert slot.consistent()
+            assert slot.total == sum(slot.per_context.values())

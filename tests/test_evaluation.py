@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import nextstep.evaluation
 from nextstep import (
     MetricsRow,
     Observation,
@@ -26,6 +27,8 @@ from nextstep.evaluation import (
     derive_universes,
     format_record,
     parse_record,
+    write_comparison_svg,
+    write_metrics_csv,
 )
 
 ALPHA = 0.8
@@ -187,3 +190,33 @@ def test_svg_labels_both_panels():
 
 def test_svg_is_deterministic():
     assert render_report() == render_report()
+
+
+# -- output files ------------------------------------------------------------------
+
+
+ROWS = [MetricsRow(1, 2, 2, True, 1, 1.0, 1.0)]
+WRITERS = [
+    pytest.param("dump_trace", lambda path: write_trace([Observation(1)], path),
+                 id="trace"),
+    pytest.param("metrics_to_csv", lambda path: write_metrics_csv(ROWS, path),
+                 id="csv"),
+    pytest.param("render_comparison_svg",
+                 lambda path: write_comparison_svg(ROWS, ROWS, path), id="svg"),
+]
+
+
+@pytest.mark.parametrize("render,write", WRITERS)
+def test_failed_render_keeps_the_previous_file(tmp_path, monkeypatch, render, write):
+    path = tmp_path / "out"
+    write(path)
+    before = path.read_bytes()
+
+    def broken_render(*args):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(nextstep.evaluation, render, broken_render)
+    with pytest.raises(RuntimeError):
+        write(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

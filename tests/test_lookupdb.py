@@ -78,9 +78,7 @@ def test_slot_consistency():
     slot = ContextSlot()
     for ctx in (1, 1, 2, 3):
         slot.record(ctx)
-    assert slot.consistent()
-    slot.total = 5
-    assert not slot.consistent()
+    assert slot.total == sum(slot.per_context.values())
 
 
 # -- add / find ----------------------------------------------------------

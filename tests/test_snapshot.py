@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 
 import pytest
@@ -119,7 +120,7 @@ def test_failed_replace_removes_the_temporary_file(tmp_path, monkeypatch):
     def broken_replace(source, target):
         raise OSError("replace failed")
 
-    monkeypatch.setattr(nextstep.lookupdb.os, "replace", broken_replace)
+    monkeypatch.setattr(os, "replace", broken_replace)
     with pytest.raises(OSError):
         write_snapshot(LookupDB(), 0.8, 0.5, path)
     assert path.read_bytes() == before

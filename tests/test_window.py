@@ -101,14 +101,6 @@ def test_undeclared_classification_lookup_raises():
         window.context_at(0, 9)
 
 
-def test_contexts_at_returns_copy():
-    window = make_window()
-    window.push(Observation(1, {0: 5}))
-    first = window.contexts_at(0)
-    first[0] = 99
-    assert window.context_at(0, 0) == 5
-
-
 def test_observation_contexts_are_copied_on_construction():
     source = {0: 5}
     observation = Observation(1, source)
