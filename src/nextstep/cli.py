@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from .atomicwrite import write_text_atomically
@@ -54,51 +54,45 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _add_engine_arguments(
     parser: argparse.ArgumentParser, with_engine_flag: bool
 ) -> None:
+    """One flag per PredictorConfig field, each defaulting to the field's
+    default; ``compare`` runs both engine modes and so has no --engine."""
+    default = PredictorConfig()
     group = parser.add_argument_group("engine configuration")
-    group.add_argument("--alpha", type=float, default=0.8,
-                       help="reinforcement rate in (0, 1), default 0.8")
-    group.add_argument("--theta", type=float, default=0.5,
-                       help="context weight threshold in [0, 1), default 0.5")
-    group.add_argument("--window-capacity", type=int, default=10,
-                       help="observations kept for matching, default 10")
+    group.add_argument("--alpha", type=float, default=default.alpha,
+                       help="reinforcement rate in (0, 1), default %(default)s")
+    group.add_argument("--theta", type=float, default=default.theta,
+                       help="context weight threshold in [0, 1), default %(default)s")
+    group.add_argument("--window-capacity", type=int, default=default.window_capacity,
+                       help="observations kept for matching, default %(default)s")
     if with_engine_flag:
-        group.add_argument("--engine", choices=ENGINE_MODES, default="context",
+        group.add_argument("--engine", choices=ENGINE_MODES, dest="engine_mode",
+                           default=default.engine_mode,
                            help="score with or without context weights")
     group.add_argument("--context-update-scope", choices=CONTEXT_UPDATE_SCOPES,
-                       default="correct-only",
+                       default=default.context_update_scope,
                        help="which matched rules get their counters updated")
     group.add_argument("--extension-scope", choices=EXTENSION_SCOPES,
-                       default="all-matching",
+                       default=default.extension_scope,
                        help="which matched rules grow after a correct suggestion")
     group.add_argument("--extension-direction", choices=EXTENSION_DIRECTIONS,
-                       default="append-observation",
+                       default=default.extension_direction,
                        help="grow rules toward the new step or into the past")
 
 
 def _config_from_args(args: argparse.Namespace) -> PredictorConfig:
-    return PredictorConfig(
-        alpha=args.alpha,
-        theta=args.theta,
-        window_capacity=args.window_capacity,
-        engine_mode=getattr(args, "engine", "context"),
-        context_update_scope=args.context_update_scope,
-        extension_scope=args.extension_scope,
-        extension_direction=args.extension_direction,
-    )
+    return PredictorConfig(**{
+        field.name: getattr(args, field.name)
+        for field in fields(PredictorConfig)
+        if hasattr(args, field.name)
+    })
 
 
 def _echo_config(config: PredictorConfig, mode_text: str | None = None) -> None:
-    print(
-        "config:"
-        f" alpha={config.alpha!r}"
-        f" theta={config.theta!r}"
-        f" window_capacity={config.window_capacity}"
-        f" engine_mode={mode_text or config.engine_mode}"
-        f" context_update_scope={config.context_update_scope}"
-        f" extension_scope={config.extension_scope}"
-        f" extension_direction={config.extension_direction}",
-        file=sys.stderr,
-    )
+    values = {field.name: getattr(config, field.name) for field in fields(config)}
+    if mode_text:
+        values["engine_mode"] = mode_text
+    pairs = "".join(f" {name}={value}" for name, value in values.items())
+    print(f"config:{pairs}", file=sys.stderr)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -339,10 +333,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except NextStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NextStepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

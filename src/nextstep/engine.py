@@ -17,9 +17,10 @@ from .lookupdb import (
     Entry,
     LookupDB,
     record_contexts,
+    require_table_covers,
     update_probability,
 )
-from .errors import WindowRangeError
+from .errors import UnknownIdError
 from .window import (
     ClassificationId,
     ContextId,
@@ -92,17 +93,12 @@ def context_fit(
     contribute no evidence at all; a known context that the entry has
     counted past but never in this value contributes weight 0.
     """
-    length = len(entry.condition)
-    if length > len(table):
-        raise WindowRangeError(
-            f"condition of length {length} is longer than the {len(table)} "
-            "populated window positions"
-        )
+    require_table_covers(entry, table)
     evidence: list[ContextEvidence] = []
     slots = entry.slots
     if not slots:
         return evidence
-    for i in range(1 - length, 1):
+    for i in range(1 - len(entry.condition), 1):
         contexts = table[-i]
         for cc in classifications:
             ctx = contexts.get(cc)
@@ -166,6 +162,13 @@ class Engine:
         )
         self.steps = self.window.steps
         self.classifications = self.window.classifications
+        for entry in self.db:
+            for step in entry.condition + (entry.prediction,):
+                if step not in self.steps:
+                    raise UnknownIdError(
+                        f"entry {entry.entry_id} uses step {step!r}, "
+                        "which is not declared"
+                    )
         # Sorted once: evidence and counter iteration order stays stable.
         self._classification_order = tuple(sorted(self.classifications))
         self._last_prediction: StepId | None = None
@@ -174,10 +177,6 @@ class Engine:
         self._predicted_matches: (
             tuple[LookupDB, int, ObservationWindow, int, list[Entry]] | None
         ) = None
-
-    @property
-    def last_prediction(self) -> StepId | None:
-        return self._last_prediction
 
     def predict(self) -> PredictionResult | None:
         """Suggest the next step, or None when no rule matches.
@@ -229,17 +228,19 @@ class Engine:
         extend only the rules that existed before this call.
         """
         self.window.push(observation)
+        # Context mappings of the span that rules matched one step ago.
+        table = self.window.context_table()[1:]
         correct: bool | None = None
         if self._last_prediction is not None:
             correct = self._last_prediction == observation.step
         prior_count = len(self.db)
-        self._add_pair_rule()
+        self._add_pair_rule(table)
         matched = self._matches_one_step_ago(prior_count)
         for entry in matched:
             hit = entry.prediction == self.window.step_at(0)
             entry.p = update_probability(entry.p, self.config.alpha, hit)
             if hit or self.config.context_update_scope == "all-matching":
-                record_contexts(entry, self.window, 1, self._classification_order)
+                record_contexts(entry, table, self._classification_order)
         if correct:
             self._extend(matched, prior_count)
         self._last_prediction = None
@@ -270,7 +271,9 @@ class Engine:
             if entry.entry_id < prior_count
         ]
 
-    def _add_pair_rule(self) -> None:
+    def _add_pair_rule(
+        self, table: Sequence[Mapping[ClassificationId, ContextId]]
+    ) -> None:
         """Store previous-step -> current-step unless already known."""
         if len(self.window) < 2:
             return
@@ -279,7 +282,7 @@ class Engine:
         if self.db.find(condition, prediction) is not None:
             return
         entry = self.db.add(condition, prediction, 1.0 - self.config.alpha)
-        record_contexts(entry, self.window, 1, self._classification_order)
+        record_contexts(entry, table, self._classification_order)
 
     def _extend(self, matched: list[Entry], prior_count: int) -> None:
         """Grow confirmed rules by one step; children inherit one p.

@@ -186,10 +186,6 @@ def metrics_to_csv(rows: Iterable[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_csv(rows: Iterable[MetricsRow], path: str) -> None:
-    write_text_atomically(path, metrics_to_csv(rows))
-
-
 def render_comparison_svg(
     context_rows: Sequence[MetricsRow],
     baseline_rows: Sequence[MetricsRow],
@@ -262,11 +258,3 @@ def render_comparison_svg(
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_comparison_svg(
-    context_rows: Sequence[MetricsRow],
-    baseline_rows: Sequence[MetricsRow],
-    path: str,
-) -> None:
-    write_text_atomically(path, render_comparison_svg(context_rows, baseline_rows))

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
-from .errors import SnapshotFormatError
-from .window import ClassificationId, ContextId, ObservationWindow, StepId
+from .errors import SnapshotFormatError, WindowRangeError
+from .window import ClassificationId, ContextId, ObservationWindow, StepId, _require_id
 
 SNAPSHOT_MAGIC = "LOOKUPDB"
 SNAPSHOT_VERSION = "v1"
@@ -83,21 +83,35 @@ def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) 
     )
 
 
+def require_table_covers(
+    entry: Entry, table: Sequence[Mapping[ClassificationId, ContextId]]
+) -> None:
+    """Raise WindowRangeError when the condition is longer than the table."""
+    length = len(entry.condition)
+    if length > len(table):
+        raise WindowRangeError(
+            f"condition of length {length} is longer than the {len(table)} "
+            "populated window positions"
+        )
+
+
 def record_contexts(
     entry: Entry,
-    window: ObservationWindow,
-    offset: int,
+    table: Sequence[Mapping[ClassificationId, ContextId]],
     classifications: Iterable[ClassificationId],
 ) -> None:
-    """Count the window's contexts into the entry's per-index slots.
+    """Count the table's contexts into the entry's per-index slots.
 
-    The entry must currently match the window at ``offset``; condition
-    index i reads the window at i - offset.  Absent contexts are
-    skipped entirely, so a slot's total only grows when its
+    ``table`` holds context mappings newest first, as
+    ObservationWindow.context_table() does, and condition index i reads
+    ``table[-i]``.  learn() passes the table without its newest
+    position, the span a rule matched one step ago.  Absent contexts
+    are skipped entirely, so a slot's total only grows when its
     classification was actually observed there.
     """
+    require_table_covers(entry, table)
     for i in range(1 - len(entry.condition), 1):
-        contexts = window.observation_at(i - offset).contexts
+        contexts = table[-i]
         for cc in classifications:
             ctx = contexts.get(cc)
             if ctx is None:
@@ -144,8 +158,8 @@ class LookupDB:
         if not condition:
             raise ValueError("condition must not be empty")
         for step in condition:
-            _require_step(step)
-        _require_step(prediction)
+            _require_id("step", step)
+        _require_id("step", prediction)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")
         if self.find(condition, prediction) is not None:
@@ -174,11 +188,6 @@ class LookupDB:
                 ids.extend(by_prediction.values())
         ids.sort()
         return [self._entries[i] for i in ids]
-
-
-def _require_step(step: StepId) -> None:
-    if not isinstance(step, int) or isinstance(step, bool) or step < 0:
-        raise ValueError(f"step id {step!r} must be a non-negative int")
 
 
 def snapshot_lines(db: LookupDB, alpha: float, theta: float) -> Iterator[str]:
@@ -278,12 +287,8 @@ def _parse_entry(line_no: int, tokens: list[str], db: LookupDB) -> Entry:
         raise SnapshotFormatError(line_no, f"bad condition {cond_text!r}") from None
     prediction = _parse_int(line_no, _strip_prefix(line_no, tokens[3], "pred="), "prediction")
     p = _parse_float_field(line_no, tokens[4], "p")
-    if not 0.0 <= p <= 1.0:
-        raise SnapshotFormatError(line_no, f"probability {p!r} outside [0, 1]")
-    if db.find(condition, prediction) is not None:
-        raise SnapshotFormatError(
-            line_no, f"duplicate entry for condition {cond_text!r} predicting {prediction}"
-        )
+    # db.add rejects a p outside [0, 1] and a repeated (condition,
+    # prediction) pair.
     try:
         return db.add(condition, prediction, p)
     except ValueError as exc:

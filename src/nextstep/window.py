@@ -82,23 +82,14 @@ class ObservationWindow:
         self._entries.appendleft(observation)
         self.pushes += 1
 
-    def observation_at(self, index: int) -> Observation:
-        """Observation ``-index`` steps ago; 0 is the newest."""
+    def step_at(self, index: int) -> StepId:
+        """Step observed ``-index`` steps ago; 0 is the newest."""
         if not -len(self._entries) < index <= 0:
             raise WindowRangeError(
                 f"index {index} outside populated range "
                 f"[{-(len(self._entries) - 1) if self._entries else 0}, 0]"
             )
-        return self._entries[-index]
-
-    def step_at(self, index: int) -> StepId:
-        return self.observation_at(index).step
-
-    def context_at(self, index: int, classification: ClassificationId) -> ContextId | None:
-        """Context id recorded at ``index`` for ``classification``, or None."""
-        if classification not in self.classifications:
-            raise UnknownIdError(f"classification {classification!r} is not declared")
-        return self.observation_at(index).contexts.get(classification)
+        return self._entries[-index].step
 
     def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:
         """Context mappings of every populated position, newest first.

@@ -13,18 +13,11 @@ import random
 import time
 
 import nextstep.engine
-from nextstep import (
-    Engine,
-    Observation,
-    PredictorConfig,
-    dump_snapshot,
-    generate_trace,
-    metrics_to_csv,
-    read_snapshot,
-    update_probability,
-)
+from nextstep import Engine, Observation, PredictorConfig, read_snapshot
 from nextstep.cli import main
-from nextstep.evaluation import run_trace
+from nextstep.evaluation import metrics_to_csv, run_trace
+from nextstep.lookupdb import dump_snapshot, update_probability
+from nextstep.scenarios import generate_trace
 from .reference import brute_match, closed_form_correct, closed_form_incorrect
 from .test_lookupdb import random_match_cases, window_from
 
@@ -82,7 +75,7 @@ def test_criterion_2_counter_conservation(capsys):
 
 
 def test_criterion_3_match_oracle(capsys):
-    from nextstep import LookupDB, condition_matches
+    from nextstep.lookupdb import LookupDB, condition_matches
 
     started = time.perf_counter()
     db = LookupDB()

@@ -7,8 +7,18 @@ import os
 
 import pytest
 
-from nextstep import ContextSlot, LookupDB, dump_snapshot, write_snapshot
+import nextstep.cli
+from nextstep import write_snapshot
+from nextstep.lookupdb import ContextSlot, LookupDB
 from nextstep.cli import main
+
+
+def config_line(mode="context", alpha="0.8"):
+    return (
+        f"config: alpha={alpha} theta=0.5 window_capacity=10 engine_mode={mode}"
+        " context_update_scope=correct-only extension_scope=all-matching"
+        " extension_direction=append-observation"
+    )
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +130,32 @@ def test_run_failed_replace_keeps_the_previous_output(capsys, tmp_path, monkeypa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.csv", "trace.txt"]
 
 
+def test_run_echoes_the_effective_config(capsys, tmp_path):
+    trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "2")
+    _, _, err = run_cli(capsys, "run", str(trace))
+    assert err.splitlines()[0] == config_line()
+    _, _, err = run_cli(
+        capsys, "run", str(trace), "--engine", "baseline", "--alpha", "0.7",
+        "--theta", "0.25", "--window-capacity", "6",
+        "--context-update-scope", "all-matching",
+        "--extension-scope", "correct-only",
+        "--extension-direction", "extend-into-past",
+    )
+    assert err.splitlines()[0] == (
+        "config: alpha=0.7 theta=0.25 window_capacity=6 engine_mode=baseline"
+        " context_update_scope=all-matching extension_scope=correct-only"
+        " extension_direction=extend-into-past"
+    )
+
+
+def test_run_help_shows_the_config_defaults(capsys):
+    code, out, _ = run_cli(capsys, "run", "--help")
+    assert code == 0
+    help_text = " ".join(out.split())
+    for default in ("default 0.8", "default 0.5", "default 10"):
+        assert default in help_text
+
+
 def test_run_rejects_out_of_range_alpha(capsys, tmp_path):
     trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "1")
     code, _, err = run_cli(capsys, "run", str(trace), "--alpha", "1.5")
@@ -168,6 +204,29 @@ def test_compare_writes_both_csvs_and_the_svg(capsys, tmp_path):
     assert baseline_csv.startswith("t,step,")
     assert svg.lstrip().startswith("<svg")
     assert err.count("wrote ") == 3
+    assert err.splitlines()[0] == config_line(mode="context+baseline")
+
+
+def test_compare_failed_render_keeps_every_previous_output(capsys, tmp_path, monkeypatch):
+    trace = make_trace(capsys, tmp_path, "--scenario", "mix", "--components", "4")
+    prefix = tmp_path / "report"
+    code, _, _ = run_cli(capsys, "compare", str(trace), "--output-prefix", str(prefix))
+    assert code == 0
+    # a longer trace, so every output would change if it were written
+    trace = make_trace(capsys, tmp_path, "--scenario", "mix", "--components", "6")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(before) == [
+        "report.svg", "report_baseline.csv", "report_context.csv", "trace.txt"
+    ]
+
+    def broken_render(*args):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(nextstep.cli, "render_comparison_svg", broken_render)
+    with pytest.raises(RuntimeError):
+        main(["compare", str(trace), "--output-prefix", str(prefix)])
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert after == before
 
 
 # -- db-inspect ------------------------------------------------------------------
@@ -312,3 +371,39 @@ def test_repl_missing_load_file_is_a_data_error(capsys, monkeypatch, tmp_path):
 def test_repl_echoes_config_to_stderr(capsys, monkeypatch):
     _, _, err = repl(capsys, monkeypatch, "", "--alpha", "0.9")
     assert "alpha=0.9" in err
+    assert err.splitlines() == [config_line(alpha="0.9")]
+
+
+def foreign_snapshot(tmp_path):
+    """A snapshot whose only rule predicts step 9."""
+    path = tmp_path / "foreign.db"
+    db = LookupDB()
+    db.add((1,), 9, 0.9)
+    write_snapshot(db, 0.8, 0.5, path)
+    return path
+
+
+def test_repl_load_with_undeclared_steps_is_a_data_error(capsys, monkeypatch, tmp_path):
+    path = foreign_snapshot(tmp_path)
+    code, out, err = repl(
+        capsys, monkeypatch, "1\n:quit\n",
+        "--steps", "1,2", "--classifications", "", "--load", str(path),
+    )
+    assert code == 2
+    assert "entry 0 uses step 9" in err
+    assert "suggestion" not in out
+
+
+def test_repl_load_command_with_undeclared_steps_keeps_the_engine(
+    capsys, monkeypatch, tmp_path
+):
+    path = foreign_snapshot(tmp_path)
+    code, out, _ = repl(capsys, monkeypatch, f"2\n3\n:load {path}\n2\n:db\n:quit\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith("error: ") and "entry 0 uses step 9" in line
+               for line in lines)
+    assert not any(line.startswith("loaded ") for line in lines)
+    assert "2 entries" in out
+    assert "pred=9" not in out
+    assert lines[-1].startswith("suggestion: step=3")

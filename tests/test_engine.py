@@ -9,18 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nextstep.engine
-from nextstep import (
-    ContextEvidence,
-    ContextSlot,
-    Engine,
-    LookupDB,
-    Observation,
-    ObservationWindow,
-    PredictorConfig,
-    context_fit,
-    dump_snapshot,
-    relevance_mean,
-)
+from nextstep import Engine, Observation, PredictorConfig
+from nextstep.engine import ContextEvidence, context_fit, relevance_mean
+from nextstep.errors import UnknownIdError
+from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot
+from nextstep.window import ObservationWindow
 from .reference import RefEngine
 
 ALPHA = 0.8
@@ -72,6 +65,15 @@ def test_config_defaults():
     assert config.context_update_scope == "correct-only"
     assert config.extension_scope == "all-matching"
     assert config.extension_direction == "append-observation"
+
+
+@pytest.mark.parametrize("condition,prediction", [((1,), 9), ((9, 1), 2)])
+def test_db_using_an_undeclared_step_is_rejected(condition, prediction):
+    db = LookupDB()
+    db.add((1,), 2, 0.5)
+    db.add(condition, prediction, 0.9)
+    with pytest.raises(UnknownIdError, match="entry 1 uses step 9"):
+        Engine(PredictorConfig(), (1, 2), (), db)
 
 
 # -- relevance scoring -----------------------------------------------------
@@ -470,7 +472,7 @@ def test_into_past_needs_an_older_observation():
 
 
 def test_baseline_equals_relevance_forced_to_one(monkeypatch):
-    from nextstep import generate_trace
+    from nextstep.scenarios import generate_trace
     from nextstep.evaluation import derive_universes, metrics_to_csv, run_trace
 
     trace = generate_trace("mix", 8, 2, seed=3)

@@ -8,28 +8,26 @@ import pytest
 
 import nextstep.evaluation
 from nextstep import (
-    MetricsRow,
     Observation,
     PredictorConfig,
-    TraceFormatError,
     compare_engines,
-    dump_trace,
-    generate_trace,
-    metrics_to_csv,
-    parse_trace,
     read_trace,
     render_comparison_svg,
     run_trace,
     write_trace,
 )
+from nextstep.errors import TraceFormatError
 from nextstep.evaluation import (
     CSV_HEADER,
+    MetricsRow,
     derive_universes,
+    dump_trace,
     format_record,
+    metrics_to_csv,
     parse_record,
-    write_comparison_svg,
-    write_metrics_csv,
+    parse_trace,
 )
+from nextstep.scenarios import generate_trace
 
 ALPHA = 0.8
 Q = 1.0 - ALPHA
@@ -195,14 +193,9 @@ def test_svg_is_deterministic():
 # -- output files ------------------------------------------------------------------
 
 
-ROWS = [MetricsRow(1, 2, 2, True, 1, 1.0, 1.0)]
 WRITERS = [
     pytest.param("dump_trace", lambda path: write_trace([Observation(1)], path),
                  id="trace"),
-    pytest.param("metrics_to_csv", lambda path: write_metrics_csv(ROWS, path),
-                 id="csv"),
-    pytest.param("render_comparison_svg",
-                 lambda path: write_comparison_svg(ROWS, ROWS, path), id="svg"),
 ]
 
 

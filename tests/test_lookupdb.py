@@ -7,15 +7,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nextstep import (
+from nextstep import Observation
+from nextstep.errors import WindowRangeError
+from nextstep.lookupdb import (
     ContextSlot,
     LookupDB,
-    Observation,
-    ObservationWindow,
     condition_matches,
     record_contexts,
     update_probability,
 )
+from nextstep.window import ObservationWindow
 from .reference import brute_match, closed_form_correct, closed_form_incorrect
 
 
@@ -214,7 +215,7 @@ def test_record_contexts_counts_at_condition_positions():
     window.push(Observation(2, {0: 11, 1: 5}))
     window.push(Observation(3, {0: 12}))
     # condition sits one step back: slots keyed 0 and -1 read indices -1, -2
-    record_contexts(entry, window, 1, (0, 1))
+    record_contexts(entry, window.context_table()[1:], (0, 1))
     assert entry.slots[(0, 0)].per_context == {11: 1}
     assert entry.slots[(1, 0)].per_context == {5: 1}
     assert entry.slots[(0, -1)].per_context == {10: 1}
@@ -227,5 +228,16 @@ def test_record_contexts_skips_absent_classifications():
     window = ObservationWindow(5, steps=(1, 2), classifications=(0,))
     window.push(Observation(1))
     window.push(Observation(2))
-    record_contexts(entry, window, 1, (0,))
+    record_contexts(entry, window.context_table()[1:], (0,))
+    assert entry.slots == {}
+
+
+def test_record_contexts_rejects_a_condition_longer_than_the_table():
+    db = LookupDB()
+    entry = db.add((1, 2), 3, 0.5)
+    window = ObservationWindow(5, steps=(1, 2, 3), classifications=(0,))
+    window.push(Observation(2, {0: 4}))
+    window.push(Observation(3, {0: 5}))
+    with pytest.raises(WindowRangeError):
+        record_contexts(entry, window.context_table()[1:], (0,))
     assert entry.slots == {}

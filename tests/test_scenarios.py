@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from nextstep import block_steps, generate_trace
 from nextstep.scenarios import (
     CC_COMPONENT,
     CC_STYLE,
     STYLE_BREADTH_FIRST,
     STYLE_DEPTH_FIRST,
+    block_steps,
+    generate_trace,
 )
 
 

@@ -9,15 +9,9 @@ import random
 import pytest
 
 import nextstep.lookupdb
-from nextstep import (
-    ContextSlot,
-    LookupDB,
-    SnapshotFormatError,
-    dump_snapshot,
-    parse_snapshot,
-    read_snapshot,
-    write_snapshot,
-)
+from nextstep import read_snapshot, write_snapshot
+from nextstep.errors import SnapshotFormatError
+from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
 
 
 def small_db():

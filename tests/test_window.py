@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from nextstep import Observation, ObservationWindow, UnknownIdError, WindowRangeError
+from nextstep import Observation
+from nextstep.errors import UnknownIdError, WindowRangeError
+from nextstep.window import ObservationWindow
 
 
 def make_window(capacity=4):
@@ -82,23 +84,11 @@ def test_context_lookup():
     window = make_window()
     window.push(Observation(1, {0: 5}))
     window.push(Observation(2, {0: 6, 1: 1}))
-    assert window.context_at(0, 0) == 6
-    assert window.context_at(0, 1) == 1
-    assert window.context_at(-1, 0) == 5
-    # context classification recorded on neither observation
-    assert window.context_at(-1, 1) is None
-    # the whole-window read agrees: table[-index] is window index index
+    # table[-index] is window index index
     table = window.context_table()
     assert len(table) == 2
     assert table[0] == {0: 6, 1: 1}
     assert table[1] == {0: 5}
-
-
-def test_undeclared_classification_lookup_raises():
-    window = make_window()
-    window.push(Observation(1, {0: 5}))
-    with pytest.raises(UnknownIdError):
-        window.context_at(0, 9)
 
 
 def test_observation_contexts_are_copied_on_construction():
