@@ -137,16 +137,6 @@ class PredictionResult:
     condition: tuple[StepId, ...]
 
 
-@dataclass(frozen=True)
-class LearnReport:
-    """What one learn() call did.
-
-    ``correct`` is None when there was no open prediction to score.
-    """
-
-    correct: bool | None
-
-
 @dataclass
 class Engine:
     """Online next-step predictor over declared step and context universes."""
@@ -172,11 +162,25 @@ class Engine:
         # Sorted once: evidence and counter iteration order stays stable.
         self._classification_order = tuple(sorted(self.classifications))
         self._last_prediction: StepId | None = None
-        # What the last predict() matched, for learn() to reuse: the db,
-        # its size, the window, its push count, and the entries.
-        self._predicted_matches: (
-            tuple[LookupDB, int, ObservationWindow, int, list[Entry]] | None
-        ) = None
+        # The last lookup's matches and the state they belong to: the
+        # db, its size, the window and its push count.  LookupDB and
+        # ObservationWindow define no __eq__, so stamps compare them by
+        # identity.
+        self._matches_stamp: tuple[LookupDB, int, ObservationWindow, int] | None = None
+        self._matches_memo: list[Entry] = []
+
+    def _matches(self) -> list[Entry]:
+        """Entries matching the window now, id ascending; do not modify.
+
+        Rules are only ever added, so the list is looked up again only
+        when the db, its size, the window or its push count changed:
+        predict(), learn() and extension share one lookup per state.
+        """
+        stamp = (self.db, len(self.db), self.window, self.window.pushes)
+        if stamp != self._matches_stamp:
+            self._matches_stamp = stamp
+            self._matches_memo = self.db.matching_entries(self.window)
+        return self._matches_memo
 
     def predict(self) -> PredictionResult | None:
         """Suggest the next step, or None when no rule matches.
@@ -189,10 +193,7 @@ class Engine:
         match can win.  An equal p can still tie, so it is scored.
         The suggestion is remembered and scored by the next learn().
         """
-        matches = self.db.matching_entries(self.window, offset=0)
-        self._predicted_matches = (
-            self.db, len(self.db), self.window, self.window.pushes, matches
-        )
+        matches = self._matches()
         scoring = self.config.engine_mode == "context"
         table = self.window.context_table() if scoring else None
         best: Entry | None = None
@@ -220,13 +221,19 @@ class Engine:
             best.prediction, best_actual_p, best.entry_id, best.condition
         )
 
-    def learn(self, observation: Observation) -> LearnReport:
+    def learn(self, observation: Observation) -> bool | None:
         """Ingest the step that actually happened and update every rule.
 
-        Order matters and is fixed: push the observation, score the
-        open prediction, store the fresh length-1 rule, then update and
-        extend only the rules that existed before this call.
+        Returns whether the open prediction was right, or None when
+        there was none to score.  Order matters and is fixed: take the
+        rules matching the window before the push, push the observation,
+        score the open prediction, store the fresh length-1 rule, then
+        update and extend the rules taken before the push.
         """
+        # After the push these match one step back, except rules as long
+        # as a full window: the push evicts the oldest step they matched.
+        capacity = self.window.capacity
+        matched = [e for e in self._matches() if len(e.condition) < capacity]
         self.window.push(observation)
         # Context mappings of the span that rules matched one step ago.
         table = self.window.context_table()[1:]
@@ -235,7 +242,6 @@ class Engine:
             correct = self._last_prediction == observation.step
         prior_count = len(self.db)
         self._add_pair_rule(table)
-        matched = self._matches_one_step_ago(prior_count)
         for entry in matched:
             hit = entry.prediction == self.window.step_at(0)
             entry.p = update_probability(entry.p, self.config.alpha, hit)
@@ -244,32 +250,7 @@ class Engine:
         if correct:
             self._extend(matched, prior_count)
         self._last_prediction = None
-        return LearnReport(correct)
-
-    def _matches_one_step_ago(self, prior_count: int) -> list[Entry]:
-        """Entries older than ``prior_count`` matching the window at offset 1.
-
-        When predict() saw this db at this size and the window has had
-        exactly one push since, its offset-0 matches are the offset-1
-        matches now, except rules as long as a full window: the push
-        evicted the oldest step they matched.
-        """
-        predicted, self._predicted_matches = self._predicted_matches, None
-        if predicted is not None:
-            db, count, window, pushes, matches = predicted
-            if (
-                db is self.db
-                and count == prior_count
-                and window is self.window
-                and pushes + 1 == window.pushes
-            ):
-                longest = len(self.window) - 1
-                return [entry for entry in matches if len(entry.condition) <= longest]
-        return [
-            entry
-            for entry in self.db.matching_entries(self.window, offset=1)
-            if entry.entry_id < prior_count
-        ]
+        return correct
 
     def _add_pair_rule(
         self, table: Sequence[Mapping[ClassificationId, ContextId]]
@@ -296,7 +277,7 @@ class Engine:
             ]
         donors = [
             entry
-            for entry in self.db.matching_entries(self.window, offset=0)
+            for entry in self._matches()
             if entry.entry_id < prior_count and entry.p > 0.0
         ]
         if donors:

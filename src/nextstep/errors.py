@@ -1,8 +1,12 @@
 """Exception hierarchy shared by the whole package.
 
-Everything raised on bad input derives from NextStepError so callers
-(and the CLI) can catch one type for "your data is wrong" while real
-bugs still surface as ordinary exceptions.
+Bad data (an undeclared id, a malformed trace or snapshot line, a
+window index out of range) raises a NextStepError, so callers can catch
+one type for "your data is wrong"; the CLI maps it to exit 2.  Bad
+constructor or config arguments (an out-of-range PredictorConfig value,
+a window capacity below 2, a malformed id, an empty step universe)
+raise a plain ValueError, which the CLI maps to exit 1.  Real bugs
+still surface as ordinary exceptions.
 """
 
 from __future__ import annotations

@@ -139,8 +139,7 @@ def run_trace(
     recent: deque[int] = deque(maxlen=roll_window)
     for t, observation in enumerate(observations[1:], start=1):
         result = engine.predict()
-        report = engine.learn(observation)
-        correct = bool(report.correct)
+        correct = bool(engine.learn(observation))
         cum_correct += correct
         recent.append(int(correct))
         rows.append(

@@ -5,7 +5,12 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 import nextstep
+from nextstep import Engine, PredictorConfig
+from nextstep.lookupdb import LookupDB
+from nextstep.window import ObservationWindow
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +37,16 @@ def test_every_export_is_named_in_the_readme_library_section():
         if not re.search(rf"\b{re.escape(name)}\b", section)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PredictorConfig(alpha=1.5),
+    lambda: ObservationWindow(1, (1, 2)),
+    lambda: LookupDB().add((1,), -1, 0.5),
+    lambda: Engine(PredictorConfig(), steps=()),
+], ids=["config", "window-capacity", "db-add-bad-id", "engine-no-steps"])
+def test_bad_arguments_raise_value_error_not_next_step_error(call):
+    """Bad data raises NextStepError; bad arguments raise a plain ValueError."""
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert not isinstance(raised.value, nextstep.NextStepError)

@@ -12,7 +12,7 @@ import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig
 from nextstep.engine import ContextEvidence, context_fit, relevance_mean
 from nextstep.errors import UnknownIdError
-from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot
+from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
 from nextstep.window import ObservationWindow
 from .reference import RefEngine
 
@@ -342,26 +342,23 @@ def test_pair_rule_counts_its_creation_contexts():
 
 def test_learn_without_open_prediction_reports_none():
     engine = make_engine()
-    report = engine.learn(Observation(1))
-    assert report.correct is None
+    assert engine.learn(Observation(1)) is None
 
 
 def test_learn_scores_and_clears_the_open_prediction():
     engine = make_engine()
     feed(engine, [2, 3, 2])
     assert engine.predict().step == 3
-    report = engine.learn(Observation(3))
-    assert report.correct is True
+    assert engine.learn(Observation(3)) is True
     # no predict() since: nothing to score
-    assert engine.learn(Observation(2)).correct is None
+    assert engine.learn(Observation(2)) is None
 
 
 def test_wrong_prediction_is_reported_and_decays_p():
     engine = make_engine()
     feed(engine, [2, 3, 2])
     assert engine.predict().step == 3
-    report = engine.learn(Observation(4))
-    assert report.correct is False
+    assert engine.learn(Observation(4)) is False
     assert engine.db.find((2,), 3).p == ALPHA * Q
 
 
@@ -530,8 +527,8 @@ def run_lockstep(engine, shadow, events, between=None, skip_predict=()):
                 assert theirs == (mine.step, mine.actual_p, mine.entry_id)
         if between is not None:
             between(t)
-        report = engine.learn(Observation(step, contexts))
-        assert report.correct == shadow.learn(step, contexts)
+        correct = engine.learn(Observation(step, contexts))
+        assert correct == shadow.learn(step, contexts)
     assert engine_state(engine) == shadow.state()
 
 
@@ -568,7 +565,7 @@ def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, dire
         run_lockstep(engine, shadow, random_events(rng, 140))
 
 
-# -- learn() reusing predict()'s matches ---------------------------------------
+# -- one match lookup per window state ------------------------------------------
 
 
 def test_full_window_capacity_rules_drop_out_of_reused_matches():
@@ -636,6 +633,63 @@ def test_push_between_predict_and_learn_is_seen():
 
     run_lockstep(engine, shadow, random_events(random.Random(25), 200),
                  between=lambda t: t % 4 == 1 and push(t))
+
+
+def test_db_swapped_between_predict_and_learn_is_the_one_updated():
+    engine = make_engine()
+    twin = make_engine()
+    feed(engine, [1, 2, 3] * 4)
+    feed(twin, [1, 2, 3] * 4)
+    assert engine.predict().step == 1
+    assert twin.predict().step == 1
+    old_db = engine.db
+    engine.db = parse_snapshot(dump_snapshot(old_db, ALPHA, 0.5))[0]
+    assert len(engine.db) == len(old_db)
+    before = dump_snapshot(old_db, ALPHA, 0.5)
+    assert engine.learn(Observation(1)) is twin.learn(Observation(1)) is True
+    assert dump_snapshot(old_db, ALPHA, 0.5) == before
+    assert dump_snapshot(engine.db, ALPHA, 0.5) == dump_snapshot(twin.db, ALPHA, 0.5)
+    assert dump_snapshot(engine.db, ALPHA, 0.5) != before
+
+
+def test_window_swapped_between_predict_and_learn_is_matched():
+    engine = make_engine(classifications=())
+    feed(engine, [1, 2])
+    assert engine.predict() is None  # nothing follows 2 yet
+    window = ObservationWindow(engine.window.capacity, engine.steps)
+    for step in (3, 1):
+        window.push(Observation(step))
+    assert window.pushes == engine.window.pushes
+    engine.window = window
+    engine.learn(Observation(2))
+    assert engine.db.find((1,), 2).p == ALPHA * Q + Q
+
+
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_a_mature_step_looks_the_window_up_once(monkeypatch, direction):
+    engine = make_engine(steps=(1, 2, 3), classifications=(),
+                         extension_direction=direction)
+    lap = [1, 2, 3]
+    for _ in range(300):
+        size = len(engine.db)
+        feed(engine, lap)
+        if len(engine.db) == size:
+            break
+    else:
+        pytest.fail("the rule database never stopped growing")
+    calls = []
+    original = LookupDB.matching_entries
+
+    def counting(db, window, offset=0):
+        calls.append(offset)
+        return original(db, window, offset)
+
+    monkeypatch.setattr(LookupDB, "matching_entries", counting)
+    size = len(engine.db)
+    predictions = feed(engine, lap * 10)
+    assert predictions == lap * 10
+    assert len(engine.db) == size
+    assert calls == [0] * 30
 
 
 def test_counters_stay_conserved_on_random_traffic():
