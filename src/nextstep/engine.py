@@ -16,8 +16,10 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .lookupdb import (
     Entry,
     LookupDB,
+    SlotKeys,
     record_contexts,
     require_table_covers,
+    slot_keys,
     update_probability,
 )
 from .errors import UnknownIdError
@@ -83,31 +85,33 @@ class ContextEvidence(NamedTuple):
 def context_fit(
     entry: Entry,
     table: Sequence[Mapping[ClassificationId, ContextId]],
-    classifications: Iterable[ClassificationId],
+    keys: SlotKeys,
 ) -> list[ContextEvidence]:
     """Weights of the window's current contexts under the entry's counters.
 
-    ``table`` is the window's ObservationWindow.context_table(), and the
-    entry must match the window at offset 0.  Positions where the
-    context is unknown, or where the entry has never counted anything,
-    contribute no evidence at all; a known context that the entry has
-    counted past but never in this value contributes weight 0.
+    ``table`` is the window's ObservationWindow.context_table(), ``keys``
+    the engine's lookupdb.slot_keys(), and the entry must match the
+    window at offset 0.  Evidence runs oldest position first, then
+    classification ascending.  Positions where the context is unknown,
+    or where the entry has never counted anything, contribute no
+    evidence at all; a known context that the entry has counted past
+    but never in this value contributes weight 0.
     """
     require_table_covers(entry, table)
     evidence: list[ContextEvidence] = []
     slots = entry.slots
     if not slots:
         return evidence
-    for i in range(1 - len(entry.condition), 1):
-        contexts = table[-i]
-        for cc in classifications:
+    for pos in range(len(entry.condition) - 1, -1, -1):
+        contexts = table[pos]
+        for cc, key in keys[pos]:
             ctx = contexts.get(cc)
             if ctx is None:
                 continue
-            slot = slots.get((cc, i))
+            slot = slots.get(key)
             if slot is None or slot.total == 0:
                 continue
-            evidence.append(ContextEvidence(i, cc, ctx, slot.weight(ctx)))
+            evidence.append(ContextEvidence(-pos, cc, ctx, slot.weight(ctx)))
     return evidence
 
 
@@ -159,8 +163,9 @@ class Engine:
                         f"entry {entry.entry_id} uses step {step!r}, "
                         "which is not declared"
                     )
-        # Sorted once: evidence and counter iteration order stays stable.
-        self._classification_order = tuple(sorted(self.classifications))
+        # Built once: every rule's counters reuse these keys, and their
+        # sorted order keeps evidence order stable.
+        self._slot_keys = slot_keys(self.classifications, self.config.window_capacity)
         self._last_prediction: StepId | None = None
         # The last lookup's matches and the state they belong to: the
         # db, its size, the window and its push count.  LookupDB and
@@ -204,7 +209,7 @@ class Engine:
                 break
             if scoring:
                 fit = relevance_mean(
-                    context_fit(entry, table, self._classification_order),
+                    context_fit(entry, table, self._slot_keys),
                     self.config.theta,
                 )
             else:
@@ -235,71 +240,74 @@ class Engine:
         capacity = self.window.capacity
         matched = [e for e in self._matches() if len(e.condition) < capacity]
         self.window.push(observation)
+        step = observation.step
         # Context mappings of the span that rules matched one step ago.
         table = self.window.context_table()[1:]
         correct: bool | None = None
         if self._last_prediction is not None:
-            correct = self._last_prediction == observation.step
+            correct = self._last_prediction == step
         prior_count = len(self.db)
-        self._add_pair_rule(table)
+        self._add_pair_rule(step, table)
+        alpha = self.config.alpha
+        record_all = self.config.context_update_scope == "all-matching"
+        keys = self._slot_keys
         for entry in matched:
-            hit = entry.prediction == self.window.step_at(0)
-            entry.p = update_probability(entry.p, self.config.alpha, hit)
-            if hit or self.config.context_update_scope == "all-matching":
-                record_contexts(entry, table, self._classification_order)
+            hit = entry.prediction == step
+            entry.p = update_probability(entry.p, alpha, hit)
+            if hit or record_all:
+                record_contexts(entry, table, keys)
         if correct:
-            self._extend(matched, prior_count)
+            self._extend(matched, prior_count, step)
         self._last_prediction = None
         return correct
 
     def _add_pair_rule(
-        self, table: Sequence[Mapping[ClassificationId, ContextId]]
+        self, step: StepId, table: Sequence[Mapping[ClassificationId, ContextId]]
     ) -> None:
-        """Store previous-step -> current-step unless already known."""
+        """Store previous-step -> ``step`` (the newest) unless already known."""
         if len(self.window) < 2:
             return
         condition = (self.window.step_at(-1),)
-        prediction = self.window.step_at(0)
-        if self.db.find(condition, prediction) is not None:
+        if self.db.find(condition, step) is not None:
             return
-        entry = self.db.add(condition, prediction, 1.0 - self.config.alpha)
-        record_contexts(entry, table, self._classification_order)
+        entry = self.db.add(condition, step, 1.0 - self.config.alpha)
+        record_contexts(entry, table, self._slot_keys)
 
-    def _extend(self, matched: list[Entry], prior_count: int) -> None:
+    def _extend(self, matched: list[Entry], prior_count: int, step: StepId) -> None:
         """Grow confirmed rules by one step; children inherit one p.
 
-        The inherited p comes from the longest currently-matching rule
-        with p > 0, the same rule prediction would lean on now.
+        ``matched`` holds rules shorter than the window, and ``step`` is
+        the newest one.  The inherited p comes from the longest
+        currently-matching rule with p > 0, the same rule prediction
+        would lean on now; ties go to the higher p, then the older rule.
         """
         if self.config.extension_scope == "correct-only":
-            matched = [
-                e for e in matched if e.prediction == self.window.step_at(0)
-            ]
-        donors = [
-            entry
-            for entry in self._matches()
-            if entry.entry_id < prior_count and entry.p > 0.0
-        ]
-        if donors:
-            donor = min(
-                donors, key=lambda e: (-len(e.condition), -e.p, e.entry_id)
-            )
-            inherit_p = donor.p
-        else:
-            inherit_p = 1.0 - self.config.alpha
+            matched = [e for e in matched if e.prediction == step]
+        donor: Entry | None = None
+        for entry in self._matches():
+            if entry.entry_id >= prior_count:
+                break  # id ascending: only rules added in this learn() follow
+            if entry.p > 0.0 and (
+                donor is None
+                or len(entry.condition) > len(donor.condition)
+                or (len(entry.condition) == len(donor.condition) and entry.p > donor.p)
+            ):
+                donor = entry
+        inherit_p = 1.0 - self.config.alpha if donor is None else donor.p
+        append = self.config.extension_direction == "append-observation"
+        window = self.window
+        find = self.db.find
         for parent in matched:
-            length = len(parent.condition)
-            if length >= self.window.capacity:
-                continue
-            if self.config.extension_direction == "append-observation":
-                condition = parent.condition + (self.window.step_at(0),)
+            if append:
+                condition = parent.condition + (step,)
             else:
                 # Prepend the step just older than the span the parent
                 # matched, which sits at window index -(length + 1).
-                if length + 2 > len(self.window):
+                length = len(parent.condition)
+                if length + 2 > len(window):
                     continue
-                condition = (self.window.step_at(-length - 1),) + parent.condition
-            if self.db.find(condition, parent.prediction) is not None:
+                condition = (window.step_at(-length - 1),) + parent.condition
+            if find(condition, parent.prediction) is not None:
                 continue
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong

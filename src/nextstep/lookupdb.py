@@ -26,9 +26,12 @@ SNAPSHOT_VERSION = "v1"
 # Slot key: (classification id, condition index <= 0, 0 being the
 # newest condition element).
 SlotKey = tuple[ClassificationId, int]
+# keys[pos] pairs every classification, ascending, with its slot key at
+# condition index -pos; see slot_keys().
+SlotKeys = Sequence[Sequence[tuple[ClassificationId, SlotKey]]]
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextSlot:
     """Occurrence counters for one classification at one condition index."""
 
@@ -46,7 +49,7 @@ class ContextSlot:
         return self.per_context.get(context, 0) / self.total
 
 
-@dataclass
+@dataclass(slots=True)
 class Entry:
     """One stored rule: condition run, prediction, probability, counters."""
 
@@ -95,30 +98,45 @@ def require_table_covers(
         )
 
 
+def slot_keys(
+    classifications: Iterable[ClassificationId], capacity: int
+) -> tuple[tuple[tuple[ClassificationId, SlotKey], ...], ...]:
+    """Slot keys for every window position, built once per engine.
+
+    ``keys[pos]`` holds ``(cc, (cc, -pos))`` for every classification in
+    ascending order, for ``pos`` in ``range(capacity)``: the counters of
+    the condition element ``pos`` positions before the newest one.
+    """
+    order = sorted(classifications)
+    return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(capacity))
+
+
 def record_contexts(
     entry: Entry,
     table: Sequence[Mapping[ClassificationId, ContextId]],
-    classifications: Iterable[ClassificationId],
+    keys: SlotKeys,
 ) -> None:
     """Count the table's contexts into the entry's per-index slots.
 
     ``table`` holds context mappings newest first, as
-    ObservationWindow.context_table() does, and condition index i reads
-    ``table[-i]``.  learn() passes the table without its newest
-    position, the span a rule matched one step ago.  Absent contexts
-    are skipped entirely, so a slot's total only grows when its
-    classification was actually observed there.
+    ObservationWindow.context_table() does, and condition index -pos
+    reads ``table[pos]`` under the premade ``keys[pos]`` of slot_keys().
+    learn() passes the table without its newest position, the span a
+    rule matched one step ago.  Absent contexts are skipped entirely, so
+    a slot's total only grows when its classification was actually
+    observed there.
     """
     require_table_covers(entry, table)
-    for i in range(1 - len(entry.condition), 1):
-        contexts = table[-i]
-        for cc in classifications:
+    slots = entry.slots
+    for pos in range(len(entry.condition) - 1, -1, -1):
+        contexts = table[pos]
+        for cc, key in keys[pos]:
             ctx = contexts.get(cc)
             if ctx is None:
                 continue
-            slot = entry.slots.get((cc, i))
+            slot = slots.get(key)
             if slot is None:
-                slot = entry.slots[(cc, i)] = ContextSlot()
+                slot = slots[key] = ContextSlot()
             slot.record(ctx)
 
 
@@ -178,12 +196,16 @@ class LookupDB:
         Equivalent to filtering with condition_matches, but walks only
         the step runs that actually end ``offset`` observations ago.
         """
-        ids: list[int] = []
-        run: list[StepId] = []
+        if offset < 0:
+            raise WindowRangeError(f"offset {offset} must not be negative")
         longest = min(self._max_length, len(window) - offset)
+        if longest <= 0:
+            return []
+        run = window.newest_steps(longest + offset)[:longest]
+        by_condition = self._by_condition
+        ids: list[int] = []
         for length in range(1, longest + 1):
-            run.insert(0, window.step_at(1 - length - offset))
-            by_prediction = self._by_condition.get(tuple(run))
+            by_prediction = by_condition.get(run[-length:])
             if by_prediction:
                 ids.extend(by_prediction.values())
         ids.sort()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .errors import UnknownIdError, WindowRangeError
@@ -85,11 +86,26 @@ class ObservationWindow:
     def step_at(self, index: int) -> StepId:
         """Step observed ``-index`` steps ago; 0 is the newest."""
         if not -len(self._entries) < index <= 0:
+            if not self._entries:
+                raise WindowRangeError(f"index {index} read from an empty window")
             raise WindowRangeError(
-                f"index {index} outside populated range "
-                f"[{-(len(self._entries) - 1) if self._entries else 0}, 0]"
+                f"index {index} outside populated range [{1 - len(self._entries)}, 0]"
             )
         return self._entries[-index].step
+
+    def newest_steps(self, count: int) -> tuple[StepId, ...]:
+        """The ``count`` newest steps, oldest first.
+
+        Equal to ``tuple(step_at(i) for i in range(1 - count, 1))``, read
+        in one pass; ``count`` may be 0.
+        """
+        if not 0 <= count <= len(self._entries):
+            raise WindowRangeError(
+                f"cannot read {count} steps from a window holding {len(self._entries)}"
+            )
+        steps = [observation.step for observation in islice(self._entries, count)]
+        steps.reverse()
+        return tuple(steps)
 
     def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:
         """Context mappings of every populated position, newest first.

@@ -70,8 +70,9 @@ class RefEngine:
 
     # -- scoring --------------------------------------------------------
 
-    def _relevance(self, entry):
-        weights = []
+    def evidence(self, entry):
+        """(index, classification, context, weight), oldest index first."""
+        out = []
         for i in range(1 - len(entry["cond"]), 1):
             for cc in self.classifications:
                 ctx = self._contexts_at(i).get(cc)
@@ -81,7 +82,11 @@ class RefEngine:
                 if not slot:
                     continue
                 total = sum(slot.values())
-                weights.append(slot.get(ctx, 0) / total)
+                out.append((i, cc, ctx, slot.get(ctx, 0) / total))
+        return out
+
+    def _relevance(self, entry):
+        weights = [weight for _, _, _, weight in self.evidence(entry)]
         if not weights:
             return 1.0
         above = [w for w in weights if w > self.theta]

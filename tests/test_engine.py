@@ -11,8 +11,14 @@ from hypothesis import given, strategies as st
 import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig
 from nextstep.engine import ContextEvidence, context_fit, relevance_mean
-from nextstep.errors import UnknownIdError
-from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
+from nextstep.errors import UnknownIdError, WindowRangeError
+from nextstep.lookupdb import (
+    ContextSlot,
+    LookupDB,
+    dump_snapshot,
+    parse_snapshot,
+    slot_keys,
+)
 from nextstep.window import ObservationWindow
 from .reference import RefEngine
 
@@ -123,7 +129,7 @@ def test_context_fit_reads_condition_positions():
     newer.record(8)
     newer.record(9)
     entry.slots[(0, 0)] = newer
-    got = context_fit(entry, window.context_table(), (0, 1))
+    got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5))
     # classification 1 at index -1 is absent from the window record and
     # the (1, 0) slot was never counted, so neither contributes
     assert got == [
@@ -140,10 +146,22 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     slot = ContextSlot()
     slot.record(5)
     entry.slots[(0, 0)] = slot
-    got = context_fit(entry, window.context_table(), (0,))
+    got = context_fit(entry, window.context_table(), slot_keys((0,), 5))
     assert got == [ContextEvidence(0, 0, 6, 0.0)]
     # one piece of evidence, none above threshold: hard veto
     assert relevance_mean(got, 0.5) == 0.0
+
+
+def test_context_fit_rejects_a_condition_longer_than_the_table():
+    window = ObservationWindow(5, steps=(1, 2, 3), classifications=(0,))
+    window.push(Observation(3, {0: 5}))
+    db = LookupDB()
+    entry = db.add((2, 3), 1, 0.5)
+    slot = ContextSlot()
+    slot.record(5)
+    entry.slots[(0, 0)] = slot
+    with pytest.raises(WindowRangeError):
+        context_fit(entry, window.context_table(), slot_keys((0,), 5))
 
 
 # -- prediction and ranking -------------------------------------------------
@@ -500,17 +518,18 @@ def engine_state(engine):
     return out
 
 
-def random_events(rng, count):
+def random_events(rng, count, classifications=(0, 1)):
     events = []
     for _ in range(count):
-        contexts = {cc: rng.randrange(4) for cc in (0, 1) if rng.random() < 0.8}
+        contexts = {cc: rng.randrange(4) for cc in classifications
+                    if rng.random() < 0.8}
         events.append((rng.randint(1, 4), contexts))
     return events
 
 
-def make_shadow(capacity=10, **overrides):
+def make_shadow(capacity=10, classifications=(0, 1), **overrides):
     return RefEngine(alpha=0.8, theta=0.5, capacity=capacity,
-                     classifications=(0, 1), **overrides)
+                     classifications=classifications, **overrides)
 
 
 def run_lockstep(engine, shadow, events, between=None, skip_predict=()):
@@ -563,6 +582,42 @@ def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, dire
         shadow = make_shadow(capacity, mode=mode, context_scope=scope,
                              extension_scope=ext_scope, direction=direction)
         run_lockstep(engine, shadow, random_events(rng, 140))
+
+
+@pytest.mark.parametrize("capacity", [5, 2])
+@pytest.mark.parametrize("mode", ["context", "baseline"])
+def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
+    monkeypatch, mode, capacity
+):
+    # Slot keys are premade per position from the sorted classifications;
+    # sparse ids declared out of order catch a table built in declaration
+    # order or at the wrong position.  Every scored rule's evidence, in
+    # order, must equal the shadow's.
+    classifications = (9, 3, 5)
+    scored = []
+    compared = 0
+
+    def recording_fit(entry, table, keys):
+        evidence = context_fit(entry, table, keys)
+        scored.append((entry.entry_id, evidence))
+        return evidence
+
+    def compare_evidence(t):
+        nonlocal compared
+        for entry_id, evidence in scored:
+            assert evidence == shadow.evidence(shadow.entries[entry_id])
+            compared += len(evidence) > 1
+        scored.clear()
+
+    monkeypatch.setattr(nextstep.engine, "context_fit", recording_fit)
+    for seed in (31, 32, 33):
+        rng = random.Random(seed)
+        config = PredictorConfig(engine_mode=mode, window_capacity=capacity)
+        engine = Engine(config, steps=(1, 2, 3, 4), classifications=classifications)
+        shadow = make_shadow(capacity, classifications, mode=mode)
+        run_lockstep(engine, shadow, random_events(rng, 140, classifications),
+                     between=compare_evidence)
+    assert (compared > 0) == (mode == "context")
 
 
 # -- one match lookup per window state ------------------------------------------

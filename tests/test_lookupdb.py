@@ -14,6 +14,7 @@ from nextstep.lookupdb import (
     LookupDB,
     condition_matches,
     record_contexts,
+    slot_keys,
     update_probability,
 )
 from nextstep.window import ObservationWindow
@@ -159,6 +160,14 @@ def test_matching_entries_ids_are_sorted():
     assert [e.entry_id for e in db.matching_entries(window, 0)] == [0, 1, 2]
 
 
+def test_matching_entries_rejects_a_negative_offset():
+    db = LookupDB()
+    db.add((3,), 1, 0.5)
+    window = window_from([1, 2, 3])
+    with pytest.raises(WindowRangeError):
+        db.matching_entries(window, -1)
+
+
 def random_match_cases(count, seed):
     """Random (db, window, offset) cases shared with the acceptance gate."""
     rng = random.Random(seed)
@@ -215,7 +224,7 @@ def test_record_contexts_counts_at_condition_positions():
     window.push(Observation(2, {0: 11, 1: 5}))
     window.push(Observation(3, {0: 12}))
     # condition sits one step back: slots keyed 0 and -1 read indices -1, -2
-    record_contexts(entry, window.context_table()[1:], (0, 1))
+    record_contexts(entry, window.context_table()[1:], slot_keys((0, 1), 5))
     assert entry.slots[(0, 0)].per_context == {11: 1}
     assert entry.slots[(1, 0)].per_context == {5: 1}
     assert entry.slots[(0, -1)].per_context == {10: 1}
@@ -228,7 +237,7 @@ def test_record_contexts_skips_absent_classifications():
     window = ObservationWindow(5, steps=(1, 2), classifications=(0,))
     window.push(Observation(1))
     window.push(Observation(2))
-    record_contexts(entry, window.context_table()[1:], (0,))
+    record_contexts(entry, window.context_table()[1:], slot_keys((0,), 5))
     assert entry.slots == {}
 
 
@@ -239,5 +248,5 @@ def test_record_contexts_rejects_a_condition_longer_than_the_table():
     window.push(Observation(2, {0: 4}))
     window.push(Observation(3, {0: 5}))
     with pytest.raises(WindowRangeError):
-        record_contexts(entry, window.context_table()[1:], (0,))
+        record_contexts(entry, window.context_table()[1:], slot_keys((0,), 5))
     assert entry.slots == {}

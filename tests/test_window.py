@@ -57,6 +57,26 @@ def test_positive_index_rejected():
         window.step_at(1)
 
 
+def test_empty_window_read_says_the_window_is_empty():
+    window = make_window()
+    with pytest.raises(WindowRangeError, match="empty window") as raised:
+        window.step_at(0)
+    assert "[0, 0]" not in str(raised.value)
+
+
+def test_newest_steps_are_the_step_at_run_oldest_first():
+    window = make_window(capacity=3)
+    assert window.newest_steps(0) == ()
+    for step in (1, 2, 3, 1):
+        window.push(Observation(step))
+    assert window.newest_steps(3) == (2, 3, 1)
+    assert window.newest_steps(1) == (1,)
+    with pytest.raises(WindowRangeError):
+        window.newest_steps(4)
+    with pytest.raises(WindowRangeError):
+        window.newest_steps(-1)
+
+
 def test_push_rejects_undeclared_step_without_mutating():
     window = make_window()
     window.push(Observation(1))
@@ -108,3 +128,5 @@ def test_window_always_holds_the_newest_pushes(steps, capacity):
     assert len(window) == len(expected)
     for index, step in enumerate(expected):
         assert window.step_at(-index) == step
+    for count in range(len(expected) + 1):
+        assert window.newest_steps(count) == tuple(expected[:count][::-1])
