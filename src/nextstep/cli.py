@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .lookupdb import LookupDB, read_snapshot, write_snapshot
 from .scenarios import TRACE_KINDS, generate_trace
+from .window import Observation
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -119,6 +120,14 @@ def _parse_id_list(text: str, what: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
+def _read_records(path: str) -> list[Observation]:
+    """The trace's records; a file without any is bad data (exit 2)."""
+    observations = read_trace(path)
+    if not observations:
+        raise NextStepError(f"trace {path} is empty")
+    return observations
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     print(
         f"config: scenario={args.scenario} components={args.components}"
@@ -135,7 +144,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _echo_config(config)
-    observations = read_trace(args.trace)
+    observations = _read_records(args.trace)
     engine, rows = run_trace(observations, config, args.roll_window)
     _write_text(args.output, metrics_to_csv(rows))
     if args.save_db:
@@ -147,7 +156,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _echo_config(config, mode_text="context+baseline")
-    observations = read_trace(args.trace)
+    observations = _read_records(args.trace)
     context_rows, baseline_rows = compare_engines(
         observations, config, args.roll_window
     )

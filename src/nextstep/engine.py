@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable
 
 from .lookupdb import (
+    ContextEvidence,
     Entry,
     LookupDB,
-    SlotKeys,
+    context_fit,
     record_contexts,
-    require_table_covers,
     slot_keys,
     update_probability,
 )
 from .errors import UnknownIdError
 from .window import (
     ClassificationId,
-    ContextId,
     Observation,
     ObservationWindow,
     StepId,
@@ -71,48 +70,6 @@ class PredictorConfig:
 def _require_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {value!r}")
-
-
-class ContextEvidence(NamedTuple):
-    """One context weight an entry contributes at prediction time."""
-
-    index: int
-    classification: ClassificationId
-    context: int
-    weight: float
-
-
-def context_fit(
-    entry: Entry,
-    table: Sequence[Mapping[ClassificationId, ContextId]],
-    keys: SlotKeys,
-) -> list[ContextEvidence]:
-    """Weights of the window's current contexts under the entry's counters.
-
-    ``table`` is the window's ObservationWindow.context_table(), ``keys``
-    the engine's lookupdb.slot_keys(), and the entry must match the
-    window at offset 0.  Evidence runs oldest position first, then
-    classification ascending.  Positions where the context is unknown,
-    or where the entry has never counted anything, contribute no
-    evidence at all; a known context that the entry has counted past
-    but never in this value contributes weight 0.
-    """
-    require_table_covers(entry, table)
-    evidence: list[ContextEvidence] = []
-    slots = entry.slots
-    if not slots:
-        return evidence
-    for pos in range(len(entry.condition) - 1, -1, -1):
-        contexts = table[pos]
-        for cc, key in keys[pos]:
-            ctx = contexts.get(cc)
-            if ctx is None:
-                continue
-            slot = slots.get(key)
-            if slot is None or slot.total == 0:
-                continue
-            evidence.append(ContextEvidence(-pos, cc, ctx, slot.weight(ctx)))
-    return evidence
 
 
 def relevance_mean(evidence: list[ContextEvidence], theta: float) -> float:
@@ -231,26 +188,30 @@ class Engine:
 
         Returns whether the open prediction was right, or None when
         there was none to score.  Order matters and is fixed: take the
-        rules matching the window before the push, push the observation,
-        score the open prediction, store the fresh length-1 rule, then
-        update and extend the rules taken before the push.
+        rules matching the window before the push, with that window's
+        context table and newest step, push the observation, score the
+        open prediction, store the fresh length-1 rule, then update and
+        extend the rules taken before the push.  Every rule counts its
+        contexts from that table, the span it matched.
         """
-        # After the push these match one step back, except rules as long
-        # as a full window: the push evicts the oldest step they matched.
-        capacity = self.window.capacity
+        window = self.window
+        # Rules as long as a full window are skipped only so that outputs
+        # do not change; ROADMAP item 2 removes this filter.
+        capacity = window.capacity
         matched = [e for e in self._matches() if len(e.condition) < capacity]
-        self.window.push(observation)
+        table = window.context_table()
+        previous = window.step_at(0) if table else None
+        window.push(observation)
         step = observation.step
-        # Context mappings of the span that rules matched one step ago.
-        table = self.window.context_table()[1:]
         correct: bool | None = None
         if self._last_prediction is not None:
             correct = self._last_prediction == step
         prior_count = len(self.db)
-        self._add_pair_rule(step, table)
         alpha = self.config.alpha
-        record_all = self.config.context_update_scope == "all-matching"
         keys = self._slot_keys
+        if previous is not None and self.db.find((previous,), step) is None:
+            record_contexts(self.db.add((previous,), step, 1.0 - alpha), table, keys)
+        record_all = self.config.context_update_scope == "all-matching"
         for entry in matched:
             hit = entry.prediction == step
             entry.p = update_probability(entry.p, alpha, hit)
@@ -260,18 +221,6 @@ class Engine:
             self._extend(matched, prior_count, step)
         self._last_prediction = None
         return correct
-
-    def _add_pair_rule(
-        self, step: StepId, table: Sequence[Mapping[ClassificationId, ContextId]]
-    ) -> None:
-        """Store previous-step -> ``step`` (the newest) unless already known."""
-        if len(self.window) < 2:
-            return
-        condition = (self.window.step_at(-1),)
-        if self.db.find(condition, step) is not None:
-            return
-        entry = self.db.add(condition, step, 1.0 - self.config.alpha)
-        record_contexts(entry, table, self._slot_keys)
 
     def _extend(self, matched: list[Entry], prior_count: int, step: StepId) -> None:
         """Grow confirmed rules by one step; children inherit one p.

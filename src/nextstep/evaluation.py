@@ -127,11 +127,9 @@ def run_trace(
     Returns the trained engine together with one metrics row per
     scored record.
     """
-    if not observations:
-        raise ValueError("trace is empty")
+    steps, classifications = derive_universes(observations)
     if roll_window < 1:
         raise ValueError(f"roll window must be positive, got {roll_window}")
-    steps, classifications = derive_universes(observations)
     engine = Engine(config, steps, classifications)
     engine.learn(observations[0])
     rows: list[MetricsRow] = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError
@@ -86,7 +86,7 @@ def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) 
     )
 
 
-def require_table_covers(
+def _require_table_covers(
     entry: Entry, table: Sequence[Mapping[ClassificationId, ContextId]]
 ) -> None:
     """Raise WindowRangeError when the condition is longer than the table."""
@@ -111,6 +111,48 @@ def slot_keys(
     return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(capacity))
 
 
+class ContextEvidence(NamedTuple):
+    """One context weight an entry contributes at prediction time."""
+
+    index: int
+    classification: ClassificationId
+    context: int
+    weight: float
+
+
+def context_fit(
+    entry: Entry,
+    table: Sequence[Mapping[ClassificationId, ContextId]],
+    keys: SlotKeys,
+) -> list[ContextEvidence]:
+    """Weights of the window's current contexts under the entry's counters.
+
+    ``table`` is the window's ObservationWindow.context_table(), ``keys``
+    the engine's lookupdb.slot_keys(), and the entry must match the
+    window at offset 0.  Evidence runs oldest position first, then
+    classification ascending.  Positions where the context is unknown,
+    or where the entry has never counted anything, contribute no
+    evidence at all; a known context that the entry has counted past
+    but never in this value contributes weight 0.
+    """
+    _require_table_covers(entry, table)
+    evidence: list[ContextEvidence] = []
+    slots = entry.slots
+    if not slots:
+        return evidence
+    for pos in range(len(entry.condition) - 1, -1, -1):
+        contexts = table[pos]
+        for cc, key in keys[pos]:
+            ctx = contexts.get(cc)
+            if ctx is None:
+                continue
+            slot = slots.get(key)
+            if slot is None or slot.total == 0:
+                continue
+            evidence.append(ContextEvidence(-pos, cc, ctx, slot.weight(ctx)))
+    return evidence
+
+
 def record_contexts(
     entry: Entry,
     table: Sequence[Mapping[ClassificationId, ContextId]],
@@ -121,12 +163,11 @@ def record_contexts(
     ``table`` holds context mappings newest first, as
     ObservationWindow.context_table() does, and condition index -pos
     reads ``table[pos]`` under the premade ``keys[pos]`` of slot_keys().
-    learn() passes the table without its newest position, the span a
-    rule matched one step ago.  Absent contexts are skipped entirely, so
-    a slot's total only grows when its classification was actually
-    observed there.
+    The entry must match the table's window at offset 0, as for
+    context_fit().  Absent contexts are skipped entirely, so a slot's
+    total only grows when its classification was actually observed there.
     """
-    require_table_covers(entry, table)
+    _require_table_covers(entry, table)
     slots = entry.slots
     for pos in range(len(entry.condition) - 1, -1, -1):
         contexts = table[pos]

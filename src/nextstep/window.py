@@ -73,8 +73,9 @@ class ObservationWindow:
 
     def push(self, observation: Observation) -> None:
         """Append the newest observation, validating it first."""
-        if observation.step not in self.steps:
-            raise UnknownIdError(f"step {observation.step!r} is not declared")
+        step = observation.step
+        if not isinstance(step, int) or isinstance(step, bool) or step not in self.steps:
+            raise UnknownIdError(f"step {step!r} is not declared")
         for cc, ctx in observation.contexts.items():
             if cc not in self.classifications:
                 raise UnknownIdError(f"classification {cc!r} is not declared")

@@ -176,6 +176,23 @@ def test_run_malformed_trace_reports_the_line(capsys, tmp_path):
     assert "line 2:" in err
 
 
+@pytest.mark.parametrize("text", ["", "# no records\n\n"], ids=["empty", "comments"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_trace_without_records_is_a_data_error(capsys, tmp_path, command, text):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(text)
+    if command == "run":
+        outputs = ("--output", str(tmp_path / "m.csv"),
+                   "--save-db", str(tmp_path / "rules.db"))
+    else:
+        outputs = ("--output-prefix", str(tmp_path / "report"))
+    code, out, err = run_cli(capsys, command, str(trace), *outputs)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["trace.txt"]
+
+
 def test_run_is_deterministic(capsys, tmp_path):
     trace = make_trace(capsys, tmp_path, "--scenario", "mix", "--components", "6",
                        "--seed", "4")

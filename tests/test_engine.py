@@ -82,6 +82,21 @@ def test_db_using_an_undeclared_step_is_rejected(condition, prediction):
         Engine(PredictorConfig(), (1, 2), (), db)
 
 
+@pytest.mark.parametrize("step", [1.0, True])
+@pytest.mark.parametrize("pair_rule_known", [False, True])
+def test_learn_rejects_a_step_that_is_not_an_int_without_mutating(
+    step, pair_rule_known
+):
+    engine = make_engine()
+    feed(engine, [1, 2, 1, 2] if pair_rule_known else [1, 2])
+    length, pushes = len(engine.window), engine.window.pushes
+    before = dump_snapshot(engine.db, ALPHA, 0.5)
+    with pytest.raises(UnknownIdError):
+        engine.learn(Observation(step))
+    assert (len(engine.window), engine.window.pushes) == (length, pushes)
+    assert dump_snapshot(engine.db, ALPHA, 0.5) == before
+
+
 # -- relevance scoring -----------------------------------------------------
 
 

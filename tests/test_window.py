@@ -87,6 +87,17 @@ def test_push_rejects_undeclared_step_without_mutating():
     assert window.pushes == 1
 
 
+@pytest.mark.parametrize("step", [1.0, True])
+def test_push_rejects_a_step_that_is_not_an_int_without_mutating(step):
+    window = make_window()
+    window.push(Observation(2))
+    with pytest.raises(UnknownIdError):
+        window.push(Observation(step))
+    assert len(window) == 1
+    assert window.step_at(0) == 2
+    assert window.pushes == 1
+
+
 def test_push_rejects_undeclared_classification_without_mutating():
     window = make_window()
     with pytest.raises(UnknownIdError):
