@@ -20,7 +20,6 @@ from .lookupdb import (
     context_fit,
     record_contexts,
     slot_keys,
-    update_probability,
 )
 from .errors import UnknownIdError
 from .window import (
@@ -195,10 +194,11 @@ class Engine:
         contexts from that table, the span it matched.
         """
         window = self.window
+        matches = self._matches()
         # Rules as long as a full window are skipped only so that outputs
         # do not change; ROADMAP item 2 removes this filter.
         capacity = window.capacity
-        matched = [e for e in self._matches() if len(e.condition) < capacity]
+        matched = [e for e in matches if len(e.condition) < capacity]
         table = window.context_table()
         previous = window.step_at(0) if table else None
         window.push(observation)
@@ -208,60 +208,85 @@ class Engine:
             correct = self._last_prediction == step
         prior_count = len(self.db)
         alpha = self.config.alpha
+        gain = 1.0 - alpha
         keys = self._slot_keys
         if previous is not None and self.db.find((previous,), step) is None:
-            record_contexts(self.db.add((previous,), step, 1.0 - alpha), table, keys)
+            record_contexts(self.db.add((previous,), step, gain), table, keys)
         record_all = self.config.context_update_scope == "all-matching"
+        # lookupdb.update_probability, inline and with the same float
+        # expressions, so every p stays bit-identical.
         for entry in matched:
-            hit = entry.prediction == step
-            entry.p = update_probability(entry.p, alpha, hit)
-            if hit or record_all:
+            if entry.prediction == step:
+                entry.p = alpha * entry.p + gain
                 record_contexts(entry, table, keys)
+            else:
+                entry.p = alpha * entry.p
+                if record_all:
+                    record_contexts(entry, table, keys)
         if correct:
-            self._extend(matched, prior_count, step)
+            self._extend(matches, matched, prior_count, step)
         self._last_prediction = None
         return correct
 
-    def _extend(self, matched: list[Entry], prior_count: int, step: StepId) -> None:
+    def _extend(
+        self, before: list[Entry], matched: list[Entry], prior_count: int, step: StepId
+    ) -> None:
         """Grow confirmed rules by one step; children inherit one p.
 
-        ``matched`` holds rules shorter than the window, and ``step`` is
-        the newest one.  The inherited p comes from the longest
-        currently-matching rule with p > 0, the same rule prediction
-        would lean on now; ties go to the higher p, then the older rule.
+        ``before`` holds every rule that matched the window before the
+        push, ``matched`` those of them shorter than the window, and
+        ``step`` is the newest one.  The inherited p comes from the
+        longest currently-matching rule with p > 0, the same rule
+        prediction would lean on now; ties go to the higher p, then the
+        older rule.
+
+        A child is a suffix of the window, after the push when it
+        appends the observation and before it when it extends into the
+        past.  Every rule matching that window is a suffix of it too, so
+        the child exists iff that window's matches hold a rule of the
+        child's length with the parent's prediction; the db is never
+        probed.
         """
         if self.config.extension_scope == "correct-only":
             matched = [e for e in matched if e.prediction == step]
-        donor: Entry | None = None
+        append = self.config.extension_direction == "append-observation"
+        # (condition length, prediction) of every rule matching the
+        # window the children are suffixes of.
+        existing: set[tuple[int, StepId]] = set()
+        donor_length, donor_p = 0, 0.0
         for entry in self._matches():
             if entry.entry_id >= prior_count:
                 break  # id ascending: only rules added in this learn() follow
-            if entry.p > 0.0 and (
-                donor is None
-                or len(entry.condition) > len(donor.condition)
-                or (len(entry.condition) == len(donor.condition) and entry.p > donor.p)
-            ):
-                donor = entry
-        inherit_p = 1.0 - self.config.alpha if donor is None else donor.p
-        append = self.config.extension_direction == "append-observation"
-        window = self.window
-        find = self.db.find
-        for parent in matched:
+            length = len(entry.condition)
             if append:
-                condition = parent.condition + (step,)
+                existing.add((length, entry.prediction))
+            p = entry.p
+            if p > 0.0 and (
+                length > donor_length or (length == donor_length and p > donor_p)
+            ):
+                donor_length, donor_p = length, p
+        inherit_p = donor_p if donor_length else 1.0 - self.config.alpha
+        if not append:
+            existing = {(len(e.condition), e.prediction) for e in before}
+        window = self.window
+        add = self.db.add
+        for parent in matched:
+            condition = parent.condition
+            child_length = len(condition) + 1
+            if (child_length, parent.prediction) in existing:
+                continue
+            if append:
+                condition += (step,)
             else:
                 # Prepend the step just older than the span the parent
-                # matched, which sits at window index -(length + 1).
-                length = len(parent.condition)
-                if length + 2 > len(window):
+                # matched, which sits at window index -child_length.
+                if child_length >= len(window):
                     continue
-                condition = (window.step_at(-length - 1),) + parent.condition
-            if find(condition, parent.prediction) is not None:
-                continue
+                condition = (window.step_at(-child_length),) + condition
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong
             # ancestor outvote everything the child itself ever observes,
             # because old counts never decay.  An empty slot set scores
             # as "nothing speaks against it" until the child earns its
             # own evidence.
-            self.db.add(condition, parent.prediction, inherit_p)
+            add(condition, parent.prediction, inherit_p)

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError
-from .window import ClassificationId, ContextId, ObservationWindow, StepId, _require_id
+from .window import ClassificationId, ContextId, ObservationWindow, StepId
 
 SNAPSHOT_MAGIC = "LOOKUPDB"
 SNAPSHOT_VERSION = "v1"
@@ -33,17 +33,20 @@ SlotKeys = Sequence[Sequence[tuple[ClassificationId, SlotKey]]]
 
 @dataclass(slots=True)
 class ContextSlot:
-    """Occurrence counters for one classification at one condition index."""
+    """Occurrence counters for one classification at one condition index.
+
+    record_contexts() is the one place the counters grow.
+    """
 
     total: int = 0
     per_context: dict[ContextId, int] = field(default_factory=dict)
 
-    def record(self, context: ContextId) -> None:
-        self.total += 1
-        self.per_context[context] = self.per_context.get(context, 0) + 1
-
     def weight(self, context: ContextId) -> float:
-        """Fraction of recorded occurrences that had this context."""
+        """Fraction of recorded occurrences that had this context.
+
+        context_fit() computes the same quotient inline for every cell
+        it scores.
+        """
         if self.total == 0:
             return 0.0
         return self.per_context.get(context, 0) / self.total
@@ -65,7 +68,10 @@ class Entry:
 
 
 def update_probability(p: float, alpha: float, correct: bool) -> float:
-    """Exponentially reinforce toward 1 on a hit, decay toward 0 on a miss."""
+    """Exponentially reinforce toward 1 on a hit, decay toward 0 on a miss.
+
+    Engine.learn() applies the same two expressions inline.
+    """
     if correct:
         return alpha * p + (1.0 - alpha)
     return alpha * p
@@ -86,16 +92,12 @@ def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) 
     )
 
 
-def _require_table_covers(
-    entry: Entry, table: Sequence[Mapping[ClassificationId, ContextId]]
-) -> None:
-    """Raise WindowRangeError when the condition is longer than the table."""
-    length = len(entry.condition)
-    if length > len(table):
-        raise WindowRangeError(
-            f"condition of length {length} is longer than the {len(table)} "
-            "populated window positions"
-        )
+def _table_too_short(length: int, rows: int) -> WindowRangeError:
+    """The error for a condition longer than the table it is read against."""
+    return WindowRangeError(
+        f"condition of length {length} is longer than the {rows} "
+        "populated window positions"
+    )
 
 
 def slot_keys(
@@ -135,12 +137,17 @@ def context_fit(
     evidence at all; a known context that the entry has counted past
     but never in this value contributes weight 0.
     """
-    _require_table_covers(entry, table)
+    length = len(entry.condition)
+    if length > len(table):
+        raise _table_too_short(length, len(table))
     evidence: list[ContextEvidence] = []
     slots = entry.slots
     if not slots:
         return evidence
-    for pos in range(len(entry.condition) - 1, -1, -1):
+    # Builds each item as namedtuple's own _make does, skipping the
+    # Python-level __new__ that a ContextEvidence(...) call runs.
+    make = tuple.__new__
+    for pos in range(length - 1, -1, -1):
         contexts = table[pos]
         for cc, key in keys[pos]:
             ctx = contexts.get(cc)
@@ -149,7 +156,10 @@ def context_fit(
             slot = slots.get(key)
             if slot is None or slot.total == 0:
                 continue
-            evidence.append(ContextEvidence(-pos, cc, ctx, slot.weight(ctx)))
+            # ContextSlot.weight, inline: one method call per cell is
+            # most of this loop's cost.
+            weight = slot.per_context.get(ctx, 0) / slot.total
+            evidence.append(make(ContextEvidence, (-pos, cc, ctx, weight)))
     return evidence
 
 
@@ -167,9 +177,11 @@ def record_contexts(
     context_fit().  Absent contexts are skipped entirely, so a slot's
     total only grows when its classification was actually observed there.
     """
-    _require_table_covers(entry, table)
+    length = len(entry.condition)
+    if length > len(table):
+        raise _table_too_short(length, len(table))
     slots = entry.slots
-    for pos in range(len(entry.condition) - 1, -1, -1):
+    for pos in range(length - 1, -1, -1):
         contexts = table[pos]
         for cc, key in keys[pos]:
             ctx = contexts.get(cc)
@@ -177,8 +189,11 @@ def record_contexts(
                 continue
             slot = slots.get(key)
             if slot is None:
-                slot = slots[key] = ContextSlot()
-            slot.record(ctx)
+                slots[key] = ContextSlot(1, {ctx: 1})
+            else:
+                slot.total += 1
+                counts = slot.per_context
+                counts[ctx] = counts.get(ctx, 0) + 1
 
 
 class LookupDB:
@@ -216,19 +231,23 @@ class LookupDB:
         condition = tuple(condition)
         if not condition:
             raise ValueError("condition must not be empty")
-        for step in condition:
-            _require_id("step", step)
-        _require_id("step", prediction)
+        for step in condition + (prediction,):
+            if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+                raise ValueError(f"step id {step!r} must be a non-negative int")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")
-        if self.find(condition, prediction) is not None:
+        by_prediction = self._by_condition.get(condition)
+        if by_prediction is None:
+            by_prediction = self._by_condition[condition] = {}
+        elif prediction in by_prediction:
             raise ValueError(
                 f"entry with condition {condition} predicting {prediction} already exists"
             )
         entry = Entry(len(self._entries), condition, prediction, p)
         self._entries.append(entry)
-        self._by_condition.setdefault(condition, {})[prediction] = entry.entry_id
-        self._max_length = max(self._max_length, len(condition))
+        by_prediction[prediction] = entry.entry_id
+        if len(condition) > self._max_length:
+            self._max_length = len(condition)
         return entry
 
     def matching_entries(self, window: ObservationWindow, offset: int = 0) -> list[Entry]:

@@ -260,11 +260,7 @@ def test_db_inspect_empty_snapshot(capsys, tmp_path):
 def test_db_inspect_format_and_order(capsys, tmp_path):
     db = LookupDB()
     entry = db.add((1, 2, 3), 1, 0.9)
-    slot = ContextSlot()
-    for _ in range(9):
-        slot.record(1)
-    slot.record(0)
-    entry.slots[(1, 0)] = slot
+    entry.slots[(1, 0)] = ContextSlot(10, {1: 9, 0: 1})
     db.add((2,), 3, 0.35)
     db.add((2,), 4, 0.75)
     path = tmp_path / "rules.db"

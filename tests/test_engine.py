@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,13 +138,8 @@ def test_context_fit_reads_condition_positions():
     window.push(Observation(2, {0: 8, 1: 3}))
     db = LookupDB()
     entry = db.add((1, 2), 1, 0.5)
-    slot = ContextSlot()
-    slot.record(7)
-    entry.slots[(0, -1)] = slot
-    newer = ContextSlot()
-    newer.record(8)
-    newer.record(9)
-    entry.slots[(0, 0)] = newer
+    entry.slots[(0, -1)] = slot_of(7)
+    entry.slots[(0, 0)] = slot_of(8, 9)
     got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5))
     # classification 1 at index -1 is absent from the window record and
     # the (1, 0) slot was never counted, so neither contributes
@@ -158,9 +154,7 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     window.push(Observation(1, {0: 6}))
     db = LookupDB()
     entry = db.add((1,), 1, 0.5)
-    slot = ContextSlot()
-    slot.record(5)
-    entry.slots[(0, 0)] = slot
+    entry.slots[(0, 0)] = slot_of(5)
     got = context_fit(entry, window.context_table(), slot_keys((0,), 5))
     assert got == [ContextEvidence(0, 0, 6, 0.0)]
     # one piece of evidence, none above threshold: hard veto
@@ -172,9 +166,7 @@ def test_context_fit_rejects_a_condition_longer_than_the_table():
     window.push(Observation(3, {0: 5}))
     db = LookupDB()
     entry = db.add((2, 3), 1, 0.5)
-    slot = ContextSlot()
-    slot.record(5)
-    entry.slots[(0, 0)] = slot
+    entry.slots[(0, 0)] = slot_of(5)
     with pytest.raises(WindowRangeError):
         context_fit(entry, window.context_table(), slot_keys((0,), 5))
 
@@ -213,10 +205,7 @@ def test_tie_then_prefers_higher_raw_p():
     engine = make_engine(theta=0.25)
     engine.learn(Observation(3, {0: 7}))
     strong = engine.db.add((3,), 1, 0.8)
-    slot = ContextSlot()
-    slot.record(7)
-    slot.record(8)
-    strong.slots[(0, 0)] = slot
+    strong.slots[(0, 0)] = slot_of(7, 8)
     engine.db.add((3,), 2, 0.4)
     result = engine.predict()
     assert result.step == 1
@@ -237,9 +226,7 @@ def test_baseline_mode_ignores_context_weights():
         engine = make_engine(engine_mode=mode)
         engine.learn(Observation(3, window_contexts))
         vetoed = engine.db.add((3,), 1, 0.9)
-        slot = ContextSlot()
-        slot.record(8)  # never saw context 7: weight 0, hard veto
-        vetoed.slots[(0, 0)] = slot
+        vetoed.slots[(0, 0)] = slot_of(8)  # never saw context 7: weight 0, hard veto
         engine.db.add((3,), 2, 0.5)
         assert engine.predict().step == expected
 
@@ -258,10 +245,7 @@ def test_prediction_result_names_the_winning_entry():
 
 def slot_of(*contexts):
     """Counters that have seen exactly these contexts."""
-    slot = ContextSlot()
-    for context in contexts:
-        slot.record(context)
-    return slot
+    return ContextSlot(len(contexts), dict(Counter(contexts)))
 
 
 def test_vetoed_top_rule_yields_to_a_lower_p_rule():
@@ -498,6 +482,67 @@ def test_into_past_needs_an_older_observation():
     assert max(len(e.condition) for e in engine.db) == 1
 
 
+@pytest.mark.parametrize("ext_scope", ["all-matching", "correct-only"])
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_child_condition_taken_by_another_prediction_still_grows(ext_scope, direction):
+    # After 2 3 2 the rule (2,)->3 predicts 3, and observing 3 extends
+    # it.  Its child's condition is already stored predicting 4, so a
+    # child looked up by length alone would be skipped.
+    child = (2, 3) if direction == "append-observation" else (3, 2)
+    engine = make_engine(extension_scope=ext_scope, extension_direction=direction)
+    shadow = make_shadow(extension_scope=ext_scope, direction=direction)
+
+    def add_rival(t):
+        if t == 3:
+            engine.db.add(child, 4, 0.5)
+            shadow.entries.append({"cond": child, "pred": 4, "p": 0.5, "slots": {}})
+
+    events = [(2, {}), (3, {}), (2, {}), (3, {})]
+    events += random_events(random.Random(26), 60)
+    run_lockstep(engine, shadow, events[:4], between=add_rival)
+    assert engine.db.find(child, 3) is not None
+    assert engine.db.find(child, 4) is not None
+    run_lockstep(engine, shadow, events[4:])
+
+
+def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
+    engine = make_engine(steps=(1, 2, 3), classifications=())
+    lap = [1, 2, 3]
+    for _ in range(300):
+        size = len(engine.db)
+        feed(engine, lap)
+        if len(engine.db) == size:
+            break
+    else:
+        pytest.fail("the rule database never stopped growing")
+    inside = []
+    probes = []
+    extensions = []
+    original_find = LookupDB.find
+    original_extend = Engine._extend
+
+    def counting_find(db, condition, prediction):
+        if inside:
+            probes.append(condition)
+        return original_find(db, condition, prediction)
+
+    def tracking_extend(self, *args):
+        inside.append(True)
+        extensions.append(args)
+        try:
+            return original_extend(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LookupDB, "find", counting_find)
+    monkeypatch.setattr(Engine, "_extend", tracking_extend)
+    size = len(engine.db)
+    assert feed(engine, lap * 10) == lap * 10
+    assert len(engine.db) == size
+    assert len(extensions) == 30
+    assert probes == []
+
+
 # -- baseline equivalence --------------------------------------------------------
 
 
@@ -633,6 +678,31 @@ def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
         run_lockstep(engine, shadow, random_events(rng, 140, classifications),
                      between=compare_evidence)
     assert (compared > 0) == (mode == "context")
+
+
+def test_context_fit_weights_equal_the_slot_weights(monkeypatch):
+    # context_fit computes ContextSlot.weight inline; every item it
+    # yields must still be a ContextEvidence carrying exactly that weight.
+    classifications = (9, 3, 5)
+    checked = 0
+
+    def checking_fit(entry, table, keys):
+        nonlocal checked
+        evidence = context_fit(entry, table, keys)
+        for item in evidence:
+            assert type(item) is ContextEvidence
+            slot = entry.slots[(item.classification, item.index)]
+            assert item.weight == slot.weight(item.context)
+            checked += 1
+        return evidence
+
+    monkeypatch.setattr(nextstep.engine, "context_fit", checking_fit)
+    rng = random.Random(34)
+    engine = Engine(PredictorConfig(), steps=(1, 2, 3, 4), classifications=classifications)
+    for step, contexts in random_events(rng, 400, classifications):
+        engine.predict()
+        engine.learn(Observation(step, contexts))
+    assert checked > 100
 
 
 # -- one match lookup per window state ------------------------------------------

@@ -61,11 +61,17 @@ def test_update_iterates_to_the_closed_forms(p0, alpha, k):
 # -- context slots ------------------------------------------------------
 
 
+def count_contexts(*contexts):
+    """The (0, 0) slot of a length-1 rule counted once per context."""
+    entry = LookupDB().add((1,), 2, 0.5)
+    keys = slot_keys((0,), 5)
+    for ctx in contexts:
+        record_contexts(entry, [{0: ctx}], keys)
+    return entry.slots[(0, 0)]
+
+
 def test_slot_records_and_weighs():
-    slot = ContextSlot()
-    slot.record(5)
-    slot.record(5)
-    slot.record(7)
+    slot = count_contexts(5, 5, 7)
     assert slot.total == 3
     assert slot.weight(5) == pytest.approx(2 / 3)
     assert slot.weight(7) == pytest.approx(1 / 3)
@@ -77,10 +83,9 @@ def test_fresh_slot_weight_is_zero():
 
 
 def test_slot_consistency():
-    slot = ContextSlot()
-    for ctx in (1, 1, 2, 3):
-        slot.record(ctx)
+    slot = count_contexts(1, 1, 2, 3)
     assert slot.total == sum(slot.per_context.values())
+    assert slot.per_context == {1: 2, 2: 1, 3: 1}
 
 
 # -- add / find ----------------------------------------------------------
@@ -117,6 +122,24 @@ def test_add_validates_inputs():
         db.add((), 2, 0.2)
     with pytest.raises(ValueError):
         db.add((1,), 2, 1.5)
+
+
+def test_add_names_the_first_bad_id_in_a_condition():
+    db = LookupDB()
+    with pytest.raises(ValueError, match=r"step id -3 must be a non-negative int"):
+        db.add((1, -3, 2, -5), 2, 0.5)
+    with pytest.raises(ValueError, match=r"step id -7 "):
+        db.add((1, 2), -7, 0.5)
+    assert len(db) == 0
+    assert db.find((1, -3, 2, -5), 2) is None
+
+
+@pytest.mark.parametrize("condition,prediction", [((1, True), 2), ((1,), True)])
+def test_add_rejects_a_bool_step(condition, prediction):
+    db = LookupDB()
+    with pytest.raises(ValueError, match=r"step id True "):
+        db.add(condition, prediction, 0.5)
+    assert len(db) == 0
 
 
 def test_condition_at_is_relative_to_newest():

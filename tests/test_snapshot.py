@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,13 +18,8 @@ from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapsh
 def small_db():
     db = LookupDB()
     entry = db.add((1, 2, 3), 1, 0.9)
-    slot = ContextSlot()
-    slot.record(5)
-    slot.record(5)
-    entry.slots[(0, 0)] = slot
-    other = ContextSlot()
-    other.record(3)
-    entry.slots[(1, -2)] = other
+    entry.slots[(0, 0)] = ContextSlot(2, {5: 2})
+    entry.slots[(1, -2)] = ContextSlot(1, {3: 1})
     db.add((2,), 3, 0.2)
     return db
 
@@ -42,9 +38,8 @@ def random_db(seed, entries=60):
         for index in range(1 - len(condition), 1):
             if rng.random() < 0.5:
                 continue
-            slot = ContextSlot()
-            for _ in range(rng.randint(1, 5)):
-                slot.record(rng.randint(0, 6))
+            seen_contexts = [rng.randint(0, 6) for _ in range(rng.randint(1, 5))]
+            slot = ContextSlot(len(seen_contexts), dict(Counter(seen_contexts)))
             entry.slots[(rng.randint(0, 1), index)] = slot
     return db
 
@@ -158,6 +153,15 @@ BAD_SNAPSHOTS = [
      "E 0 cond=1 pred=2 p=0.5\nS 0 0 total=1 5:1\nS 0 0 total=1 5:1\n", 4),
     ("LOOKUPDB v1 alpha=0.8 theta=0.5\nbogus\n", 2),
 ]
+
+
+def test_bad_condition_id_is_named_with_its_line():
+    text = ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
+            "E 0 cond=1,2 pred=3 p=0.5\nE 1 cond=1,-2,3 pred=3 p=0.5\n")
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        parse_snapshot(text)
+    assert "line 3:" in str(excinfo.value)
+    assert "step id -2 " in str(excinfo.value)
 
 
 @pytest.mark.parametrize("text,line_no", BAD_SNAPSHOTS)
