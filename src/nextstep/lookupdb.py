@@ -42,11 +42,7 @@ class ContextSlot:
     per_context: dict[ContextId, int] = field(default_factory=dict)
 
     def weight(self, context: ContextId) -> float:
-        """Fraction of recorded occurrences that had this context.
-
-        context_fit() computes the same quotient inline for every cell
-        it scores.
-        """
+        """Fraction of recorded occurrences that had this context."""
         if self.total == 0:
             return 0.0
         return self.per_context.get(context, 0) / self.total
@@ -68,10 +64,7 @@ class Entry:
 
 
 def update_probability(p: float, alpha: float, correct: bool) -> float:
-    """Exponentially reinforce toward 1 on a hit, decay toward 0 on a miss.
-
-    Engine.learn() applies the same two expressions inline.
-    """
+    """Exponentially reinforce toward 1 on a hit, decay toward 0 on a miss."""
     if correct:
         return alpha * p + (1.0 - alpha)
     return alpha * p
