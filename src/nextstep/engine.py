@@ -189,16 +189,12 @@ class Engine:
         there was none to score.  Order matters and is fixed: take the
         rules matching the window before the push, with that window's
         context table and newest step, push the observation, score the
-        open prediction, store the fresh length-1 rule, then update and
-        extend the rules taken before the push.  Every rule counts its
+        open prediction, update every rule taken before the push, store
+        the fresh length-1 rule, then extend.  Every rule counts its
         contexts from that table, the span it matched.
         """
         window = self.window
         matches = self._matches()
-        # Rules as long as a full window are skipped only so that outputs
-        # do not change; ROADMAP item 2 removes this filter.
-        capacity = window.capacity
-        matched = [e for e in matches if len(e.condition) < capacity]
         table = window.context_table()
         previous = window.step_at(0) if table else None
         window.push(observation)
@@ -210,45 +206,45 @@ class Engine:
         alpha = self.config.alpha
         gain = 1.0 - alpha
         keys = self._slot_keys
-        if previous is not None and self.db.find((previous,), step) is None:
-            record_contexts(self.db.add((previous,), step, gain), table, keys)
         record_all = self.config.context_update_scope == "all-matching"
+        # (previous,)->step exists iff a length-1 match predicts step.
+        pair_missing = previous is not None
         # lookupdb.update_probability, inline and with the same float
         # expressions, so every p stays bit-identical.
-        for entry in matched:
+        for entry in matches:
             if entry.prediction == step:
                 entry.p = alpha * entry.p + gain
                 record_contexts(entry, table, keys)
+                if len(entry.condition) == 1:
+                    pair_missing = False
             else:
                 entry.p = alpha * entry.p
                 if record_all:
                     record_contexts(entry, table, keys)
+        if pair_missing:
+            record_contexts(self.db.add((previous,), step, gain), table, keys)
         if correct:
-            self._extend(matches, matched, prior_count, step)
+            self._extend(matches, prior_count, step)
         self._last_prediction = None
         return correct
 
-    def _extend(
-        self, before: list[Entry], matched: list[Entry], prior_count: int, step: StepId
-    ) -> None:
+    def _extend(self, matches: list[Entry], prior_count: int, step: StepId) -> None:
         """Grow confirmed rules by one step; children inherit one p.
 
-        ``before`` holds every rule that matched the window before the
-        push, ``matched`` those of them shorter than the window, and
-        ``step`` is the newest one.  The inherited p comes from the
-        longest currently-matching rule with p > 0, the same rule
-        prediction would lean on now; ties go to the higher p, then the
-        older rule.
+        ``matches`` holds every rule that matched the window before the
+        push, and ``step`` is the newest one.  The inherited p comes
+        from the longest currently-matching rule with p > 0, the same
+        rule prediction would lean on now; ties go to the higher p, then
+        the older rule.
 
         A child is a suffix of the window, after the push when it
         appends the observation and before it when it extends into the
-        past.  Every rule matching that window is a suffix of it too, so
-        the child exists iff that window's matches hold a rule of the
-        child's length with the parent's prediction; the db is never
-        probed.
+        past.  Either way it stays shorter than the window after the
+        push, so no child is as long as ``window_capacity``.  Every rule
+        matching that window is a suffix of it too, so the child exists
+        iff that window's matches hold a rule of the child's length with
+        the parent's prediction; the db is never probed.
         """
-        if self.config.extension_scope == "correct-only":
-            matched = [e for e in matched if e.prediction == step]
         append = self.config.extension_direction == "append-observation"
         # (condition length, prediction) of every rule matching the
         # window the children are suffixes of.
@@ -267,12 +263,17 @@ class Engine:
                 donor_length, donor_p = length, p
         inherit_p = donor_p if donor_length else 1.0 - self.config.alpha
         if not append:
-            existing = {(len(e.condition), e.prediction) for e in before}
-        window = self.window
+            existing = {(len(e.condition), e.prediction) for e in matches}
+        if self.config.extension_scope == "correct-only":
+            matches = [e for e in matches if e.prediction == step]
+        limit = len(self.window)
+        step_at = self.window.step_at
         add = self.db.add
-        for parent in matched:
+        for parent in matches:
             condition = parent.condition
             child_length = len(condition) + 1
+            if child_length >= limit:
+                continue
             if (child_length, parent.prediction) in existing:
                 continue
             if append:
@@ -280,9 +281,7 @@ class Engine:
             else:
                 # Prepend the step just older than the span the parent
                 # matched, which sits at window index -child_length.
-                if child_length >= len(window):
-                    continue
-                condition = (window.step_at(-child_length),) + condition
+                condition = (step_at(-child_length),) + condition
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong
             # ancestor outvote everything the child itself ever observes,

@@ -58,13 +58,13 @@ class RefEngine:
     def _contexts_at(self, index):
         return self.win[len(self.win) - 1 + index][1]
 
-    def _matches(self, entry, offset):
+    def _matches(self, entry):
         cond = entry["cond"]
-        if len(cond) + offset > len(self.win):
+        if len(cond) > len(self.win):
             return False
         for j, want in enumerate(cond):
-            # element j sits at window index j - (len-1) - offset
-            if self._step_at(j - (len(cond) - 1) - offset) != want:
+            # element j sits at window index j - (len-1)
+            if self._step_at(j - (len(cond) - 1)) != want:
                 return False
         return True
 
@@ -97,7 +97,7 @@ class RefEngine:
     def predict(self):
         scored = []
         for entry_id, entry in enumerate(self.entries):
-            if not self._matches(entry, 0):
+            if not self._matches(entry):
                 continue
             fit = self._relevance(entry) if self.mode == "context" else 1.0
             scored.append((entry_id, entry, fit, fit * entry["p"]))
@@ -110,35 +110,36 @@ class RefEngine:
 
     # -- learning -------------------------------------------------------
 
-    def _record(self, entry, offset):
+    def _record(self, entry):
         for i in range(1 - len(entry["cond"]), 1):
-            for cc, ctx in self._contexts_at(i - offset).items():
+            for cc, ctx in self._contexts_at(i).items():
                 slot = entry["slots"].setdefault((cc, i), {})
                 slot[ctx] = slot.get(ctx, 0) + 1
 
     def learn(self, step, contexts):
-        self.win.append((step, dict(contexts)))
-        if len(self.win) > self.capacity:
-            self.win.pop(0)
+        # everything up to the extension reads the window before the push
         correct = None
         if self.pending is not None:
             correct = self.pending == step
         prior = len(self.entries)
-        if len(self.win) >= 2:
-            pair = ((self._step_at(-1),), step)
-            if not any(e["cond"] == pair[0] and e["pred"] == pair[1]
-                       for e in self.entries):
-                entry = {"cond": pair[0], "pred": pair[1],
-                         "p": 1.0 - self.alpha, "slots": {}}
-                self.entries.append(entry)
-                self._record(entry, 1)
-        matched = [e for e in self.entries[:prior] if self._matches(e, 1)]
+        matched = [e for e in self.entries if self._matches(e)]
         for entry in matched:
             hit = entry["pred"] == step
             entry["p"] = (self.alpha * entry["p"] + (1.0 - self.alpha)
                           if hit else self.alpha * entry["p"])
             if hit or self.context_scope == "all-matching":
-                self._record(entry, 1)
+                self._record(entry)
+        if self.win:
+            cond = (self._step_at(0),)
+            if not any(e["cond"] == cond and e["pred"] == step
+                       for e in self.entries):
+                entry = {"cond": cond, "pred": step,
+                         "p": 1.0 - self.alpha, "slots": {}}
+                self.entries.append(entry)
+                self._record(entry)
+        self.win.append((step, dict(contexts)))
+        if len(self.win) > self.capacity:
+            self.win.pop(0)
         if correct:
             self._extend(matched, prior)
         self.pending = None
@@ -148,7 +149,7 @@ class RefEngine:
         if self.extension_scope == "correct-only":
             matched = [e for e in matched if e["pred"] == self._step_at(0)]
         donors = [(i, e) for i, e in enumerate(self.entries[:prior])
-                  if e["p"] > 0.0 and self._matches(e, 0)]
+                  if e["p"] > 0.0 and self._matches(e)]
         if donors:
             inherit = min(donors,
                           key=lambda d: (-len(d[1]["cond"]), -d[1]["p"], d[0]))[1]["p"]
@@ -156,13 +157,12 @@ class RefEngine:
             inherit = 1.0 - self.alpha
         for parent in matched:
             length = len(parent["cond"])
-            if length >= self.capacity:
+            # a child stays shorter than the window after the push
+            if length + 2 > len(self.win):
                 continue
             if self.direction == "append-observation":
                 cond = parent["cond"] + (self._step_at(0),)
             else:
-                if length + 2 > len(self.win):
-                    continue
                 cond = (self._step_at(-length - 1),) + parent["cond"]
             if any(e["cond"] == cond and e["pred"] == parent["pred"]
                    for e in self.entries):

@@ -459,10 +459,15 @@ def test_extension_skips_existing_children():
     assert len(pairs) == len(set(pairs))
 
 
-def test_extension_respects_the_capacity_cap():
-    engine = make_engine(window_capacity=2, steps=(2, 3), classifications=())
+@pytest.mark.parametrize("capacity", [2, 5])
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_extension_stops_one_step_short_of_the_window(direction, capacity):
+    # a child is a suffix of the window that still leaves an older step
+    # to prepend, so both directions stop at capacity - 1
+    engine = make_engine(window_capacity=capacity, steps=(2, 3), classifications=(),
+                         extension_direction=direction)
     feed(engine, [2, 3] * 10)
-    assert max(len(e.condition) for e in engine.db) == 2
+    assert max(len(e.condition) for e in engine.db) == capacity - 1
 
 
 def test_into_past_child_prepends_the_older_step():
@@ -471,15 +476,6 @@ def test_into_past_child_prepends_the_older_step():
     assert engine.db.find((1, 2), 3) is not None
     # children grow backwards only, never toward the predicted step
     assert engine.db.find((2, 3), 3) is None
-
-
-def test_into_past_needs_an_older_observation():
-    # at capacity 2 a length-1 parent's span plus offset already fills
-    # the window, so there is never a still-older step to prepend
-    engine = make_engine(window_capacity=2, steps=(2, 3), classifications=(),
-                         extension_direction="extend-into-past")
-    feed(engine, [2, 3] * 10)
-    assert max(len(e.condition) for e in engine.db) == 1
 
 
 @pytest.mark.parametrize("ext_scope", ["all-matching", "correct-only"])
@@ -708,23 +704,38 @@ def test_context_fit_weights_equal_the_slot_weights(monkeypatch):
 # -- one match lookup per window state ------------------------------------------
 
 
-def test_full_window_capacity_rules_drop_out_of_reused_matches():
-    engine = make_engine(window_capacity=2)
-    shadow = make_shadow(2)
-    full_window_hits = []
-    original_predict = engine.predict
+WINDOW_LENGTH_SNAPSHOT = """LOOKUPDB v1 alpha=0.8 theta=0.5
+E 0 cond=1,2,3 pred=1 p=0.5
+E 1 cond=1,2,3 pred=4 p=0.5
+"""
 
-    def predict():
-        if len(engine.window) == 2:
-            full_window_hits.extend(
-                entry for entry in engine.db.matching_entries(engine.window)
-                if len(entry.condition) == 2
-            )
-        return original_predict()
 
-    engine.predict = predict
+@pytest.mark.parametrize("source", ["db.add", "v1-snapshot"])
+def test_window_length_rules_are_reinforced_decayed_and_counted(source):
+    # Extension never grows a rule as long as the window, but one added
+    # by hand or loaded from an older snapshot matches a full window and
+    # learns from it like any other rule.
+    if source == "db.add":
+        db = LookupDB()
+        db.add((1, 2, 3), 1, 0.5)
+        db.add((1, 2, 3), 4, 0.5)
+    else:
+        db = parse_snapshot(WINDOW_LENGTH_SNAPSHOT)[0]
+    engine = make_engine(window_capacity=3, db=db)
+    shadow = make_shadow(3)
+    shadow.entries = [{"cond": (1, 2, 3), "pred": pred, "p": 0.5, "slots": {}}
+                      for pred in (1, 4)]
+    hit, miss = engine.db.entry(0), engine.db.entry(1)
+    events = [(step, {0: step, 1: 0}) for step in (1, 2, 3, 1)]
+    run_lockstep(engine, shadow, events)
+    assert hit.p == ALPHA * 0.5 + Q
+    assert miss.p == ALPHA * 0.5
+    assert {key: slot.per_context for key, slot in hit.slots.items()} == {
+        (0, -2): {1: 1}, (0, -1): {2: 1}, (0, 0): {3: 1},
+        (1, -2): {0: 1}, (1, -1): {0: 1}, (1, 0): {0: 1},
+    }
     run_lockstep(engine, shadow, random_events(random.Random(21), 200))
-    assert full_window_hits
+    assert sum(slot.total for slot in hit.slots.values()) > 6
 
 
 def test_learn_without_predict_matches_afresh():
@@ -740,10 +751,9 @@ def test_rule_added_between_predict_and_learn_is_updated():
     added = []
 
     def add_rule(t):
-        # the newest window steps as a still-unknown rule, longest first
-        # but short enough to still match one step back after the push
-        longest = min(len(engine.window), engine.window.capacity - 1)
-        for length in range(longest, 0, -1):
+        # the newest window steps as a still-unknown rule, longest first,
+        # up to the whole window: every one of them matched before the push
+        for length in range(len(engine.window), 0, -1):
             condition = tuple(engine.window.step_at(i) for i in range(1 - length, 1))
             for prediction in (1, 2, 3, 4):
                 if engine.db.find(condition, prediction) is None:
