@@ -15,13 +15,14 @@ def write_text_atomically(path: str, text: str) -> None:
     that raises then never touches the target.  A symlink keeps its
     place and its target is replaced; a target that is not a regular
     file, such as a FIFO or ``/dev/stdout``, cannot be replaced by one
-    and is written in place.
+    and is written in place.  A replaced file keeps its permission bits;
+    a new one gets the default mode.
     """
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        mode: int | None = os.stat(path).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         return
@@ -31,6 +32,8 @@ def write_text_atomically(path: str, text: str) -> None:
     try:
         with handle:
             handle.write(text)
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
         os.replace(temporary, path)
     except BaseException:
         os.unlink(temporary)

@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .lookupdb import LookupDB, read_snapshot, write_snapshot
 from .scenarios import TRACE_KINDS, generate_trace
-from .window import Observation
+from .window import Observation, parse_id
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -104,20 +104,9 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_id_list(text: str, what: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
-    ids = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            raise ValueError(f"bad {what} id {token!r}") from None
-        if value < 0:
-            raise ValueError(f"{what} id {value} must not be negative")
-        ids.append(value)
-    return tuple(ids)
+    return tuple(parse_id(token.strip(), f"{what} id") for token in text.split(","))
 
 
 def _read_records(path: str) -> list[Observation]:

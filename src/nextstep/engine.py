@@ -189,9 +189,10 @@ class Engine:
         there was none to score.  Order matters and is fixed: take the
         rules matching the window before the push, with that window's
         context table and newest step, push the observation, score the
-        open prediction, update every rule taken before the push, store
-        the fresh length-1 rule, then extend.  Every rule counts its
-        contexts from that table, the span it matched.
+        open prediction, update every rule taken before the push, take
+        the rules matching the window after it, store the fresh length-1
+        rule, then extend.  Every rule counts its contexts from that
+        table, the span it matched.
         """
         window = self.window
         matches = self._matches()
@@ -202,7 +203,6 @@ class Engine:
         correct: bool | None = None
         if self._last_prediction is not None:
             correct = self._last_prediction == step
-        prior_count = len(self.db)
         alpha = self.config.alpha
         gain = 1.0 - alpha
         keys = self._slot_keys
@@ -221,21 +221,23 @@ class Engine:
                 entry.p = alpha * entry.p
                 if record_all:
                     record_contexts(entry, table, keys)
+        # Taken before any rule is stored, so it holds only older rules.
+        pushed = self._matches() if correct else []
         if pair_missing:
             record_contexts(self.db.add((previous,), step, gain), table, keys)
         if correct:
-            self._extend(matches, prior_count, step)
+            self._extend(matches, pushed, step)
         self._last_prediction = None
         return correct
 
-    def _extend(self, matches: list[Entry], prior_count: int, step: StepId) -> None:
+    def _extend(self, matches: list[Entry], pushed: list[Entry], step: StepId) -> None:
         """Grow confirmed rules by one step; children inherit one p.
 
-        ``matches`` holds every rule that matched the window before the
-        push, and ``step`` is the newest one.  The inherited p comes
-        from the longest currently-matching rule with p > 0, the same
-        rule prediction would lean on now; ties go to the higher p, then
-        the older rule.
+        ``matches`` and ``pushed`` hold the rules matching the window
+        before and after the push, taken before learn() stored a rule,
+        and ``step`` is the newest one.  The inherited p comes from the
+        longest rule in ``pushed`` with p > 0, the one prediction would
+        lean on now; ties go to the higher p, then the older rule.
 
         A child is a suffix of the window, after the push when it
         appends the observation and before it when it extends into the
@@ -250,9 +252,7 @@ class Engine:
         # window the children are suffixes of.
         existing: set[tuple[int, StepId]] = set()
         donor_length, donor_p = 0, 0.0
-        for entry in self._matches():
-            if entry.entry_id >= prior_count:
-                break  # id ascending: only rules added in this learn() follow
+        for entry in pushed:
             length = len(entry.condition)
             if append:
                 existing.add((length, entry.prediction))

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError
-from .window import ClassificationId, ContextId, ObservationWindow, StepId
+from .window import ClassificationId, ContextId, ObservationWindow, StepId, parse_id
 
 SNAPSHOT_MAGIC = "LOOKUPDB"
 SNAPSHOT_VERSION = "v1"
@@ -265,23 +265,20 @@ class LookupDB:
         return [self._entries[i] for i in ids]
 
 
-def snapshot_lines(db: LookupDB, alpha: float, theta: float) -> Iterator[str]:
-    """Canonical snapshot lines, without trailing newlines."""
-    yield f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} alpha={alpha!r} theta={theta!r}"
+def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
+    """Canonical snapshot text, each line ending in a newline."""
+    lines = [f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} alpha={alpha!r} theta={theta!r}\n"]
     for entry in db:
         cond = ",".join(str(step) for step in entry.condition)
-        yield f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}"
+        lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
         for (cc, index), slot in sorted(entry.slots.items()):
             if slot.total == 0:
                 continue
             pairs = " ".join(
                 f"{ctx}:{count}" for ctx, count in sorted(slot.per_context.items())
             )
-            yield f"S {cc} {index} total={slot.total} {pairs}"
-
-
-def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
-    return "\n".join(snapshot_lines(db, alpha, theta)) + "\n"
+            lines.append(f"S {cc} {index} total={slot.total} {pairs}\n")
+    return "".join(lines)
 
 
 def write_snapshot(db: LookupDB, alpha: float, theta: float, path: str) -> None:
@@ -310,17 +307,19 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if alpha is None:
-            alpha, theta = _parse_header(line_no, tokens)
-            continue
-        if tokens[0] == "E":
-            current = _parse_entry(line_no, tokens, db)
-        elif tokens[0] == "S":
-            if current is None:
-                raise SnapshotFormatError(line_no, "slot line before any entry line")
-            _parse_slot(line_no, tokens, current)
-        else:
-            raise SnapshotFormatError(line_no, f"unknown line tag {tokens[0]!r}")
+        try:
+            if alpha is None:
+                alpha, theta = _parse_header(tokens)
+            elif tokens[0] == "E":
+                current = _parse_entry(tokens, db)
+            elif tokens[0] == "S":
+                if current is None:
+                    raise ValueError("slot line before any entry line")
+                _parse_slot(tokens, current)
+            else:
+                raise ValueError(f"unknown line tag {tokens[0]!r}")
+        except ValueError as exc:
+            raise SnapshotFormatError(line_no, str(exc)) from None
     if alpha is None:
         raise SnapshotFormatError(1, "missing snapshot header")
     return db, alpha, theta
@@ -331,103 +330,80 @@ def read_snapshot(path: str) -> tuple[LookupDB, float, float]:
         return parse_snapshot(handle)
 
 
-def _parse_header(line_no: int, tokens: list[str]) -> tuple[float, float]:
+def _parse_header(tokens: list[str]) -> tuple[float, float]:
     if len(tokens) != 4 or tokens[0] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(
-            line_no, f"expected header '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} alpha=... theta=...'"
-        )
+        raise ValueError(
+            f"expected header '{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} alpha=... theta=...'")
     if tokens[1] != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(line_no, f"unsupported snapshot version {tokens[1]!r}")
-    alpha = _parse_float_field(line_no, tokens[2], "alpha")
-    theta = _parse_float_field(line_no, tokens[3], "theta")
+        raise ValueError(f"unsupported snapshot version {tokens[1]!r}")
+    alpha = _parse_float_field(tokens[2], "alpha")
+    theta = _parse_float_field(tokens[3], "theta")
     if not 0.0 < alpha < 1.0:
-        raise SnapshotFormatError(line_no, f"alpha {alpha!r} outside (0, 1)")
+        raise ValueError(f"alpha {alpha!r} outside (0, 1)")
     if not 0.0 <= theta < 1.0:
-        raise SnapshotFormatError(line_no, f"theta {theta!r} outside [0, 1)")
+        raise ValueError(f"theta {theta!r} outside [0, 1)")
     return alpha, theta
 
 
-def _parse_entry(line_no: int, tokens: list[str], db: LookupDB) -> Entry:
+def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
     if len(tokens) != 5:
-        raise SnapshotFormatError(line_no, "entry line needs: E <id> cond=... pred=... p=...")
-    entry_id = _parse_int(line_no, tokens[1], "entry id")
+        raise ValueError("entry line needs: E <id> cond=... pred=... p=...")
+    entry_id = parse_id(tokens[1], "entry id")
     if entry_id != len(db):
-        raise SnapshotFormatError(
-            line_no, f"entry id {entry_id} out of order, expected {len(db)}"
-        )
-    cond_text = _strip_prefix(line_no, tokens[2], "cond=")
+        raise ValueError(f"entry id {entry_id} out of order, expected {len(db)}")
+    cond_text = _strip_prefix(tokens[2], "cond=")
     try:
-        condition = tuple(int(part) for part in cond_text.split(","))
+        condition = tuple(map(int, cond_text.split(",")))
     except ValueError:
-        raise SnapshotFormatError(line_no, f"bad condition {cond_text!r}") from None
-    prediction = _parse_int(line_no, _strip_prefix(line_no, tokens[3], "pred="), "prediction")
-    p = _parse_float_field(line_no, tokens[4], "p")
-    # db.add rejects a p outside [0, 1] and a repeated (condition,
-    # prediction) pair.
-    try:
-        return db.add(condition, prediction, p)
-    except ValueError as exc:
-        raise SnapshotFormatError(line_no, str(exc)) from None
+        raise ValueError(f"bad condition {cond_text!r}") from None
+    prediction = parse_id(_strip_prefix(tokens[3], "pred="), "prediction")
+    # db.add rejects a negative step, a p outside [0, 1] and a repeated pair.
+    return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
 
 
-def _parse_slot(line_no: int, tokens: list[str], entry: Entry) -> None:
+def _parse_slot(tokens: list[str], entry: Entry) -> None:
     if len(tokens) < 4:
-        raise SnapshotFormatError(line_no, "slot line needs: S <cc> <index> total=<n> ctx:count...")
-    cc = _parse_int(line_no, tokens[1], "classification id")
-    index = _parse_signed_int(line_no, tokens[2], "condition index")
+        raise ValueError("slot line needs: S <cc> <index> total=<n> ctx:count...")
+    cc = parse_id(tokens[1], "classification id")
+    index = _parse_signed_int(tokens[2], "condition index")
     if not 1 - len(entry.condition) <= index <= 0:
-        raise SnapshotFormatError(
-            line_no,
-            f"condition index {index} outside [{1 - len(entry.condition)}, 0]",
-        )
+        raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
     if (cc, index) in entry.slots:
-        raise SnapshotFormatError(line_no, f"duplicate slot for classification {cc} index {index}")
-    total = _parse_int(line_no, _strip_prefix(line_no, tokens[3], "total="), "total")
+        raise ValueError(f"duplicate slot for classification {cc} index {index}")
+    total = parse_id(_strip_prefix(tokens[3], "total="), "total")
     if total < 1:
-        raise SnapshotFormatError(line_no, f"slot total {total} must be positive")
+        raise ValueError(f"slot total {total} must be positive")
     per_context: dict[int, int] = {}
     for token in tokens[4:]:
         ctx_text, _, count_text = token.partition(":")
-        ctx = _parse_int(line_no, ctx_text, "context id")
-        count = _parse_int(line_no, count_text, "context count")
+        ctx = parse_id(ctx_text, "context id")
+        count = parse_id(count_text, "context count")
         if count < 1:
-            raise SnapshotFormatError(line_no, f"context count {count} must be positive")
+            raise ValueError(f"context count {count} must be positive")
         if ctx in per_context:
-            raise SnapshotFormatError(line_no, f"duplicate context {ctx} in slot")
+            raise ValueError(f"duplicate context {ctx} in slot")
         per_context[ctx] = count
     if sum(per_context.values()) != total:
-        raise SnapshotFormatError(
-            line_no, f"context counts sum to {sum(per_context.values())}, total says {total}"
-        )
+        raise ValueError(f"context counts sum to {sum(per_context.values())}, total says {total}")
     entry.slots[(cc, index)] = ContextSlot(total, per_context)
 
 
-def _strip_prefix(line_no: int, token: str, prefix: str) -> str:
+def _strip_prefix(token: str, prefix: str) -> str:
     if not token.startswith(prefix) or len(token) == len(prefix):
-        raise SnapshotFormatError(line_no, f"expected {prefix}<value>, got {token!r}")
+        raise ValueError(f"expected {prefix}<value>, got {token!r}")
     return token[len(prefix):]
 
 
-def _parse_int(line_no: int, text: str, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise SnapshotFormatError(line_no, f"bad {what} {text!r}") from None
-    if value < 0:
-        raise SnapshotFormatError(line_no, f"{what} {value} must not be negative")
-    return value
-
-
-def _parse_signed_int(line_no: int, text: str, what: str) -> int:
+def _parse_signed_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SnapshotFormatError(line_no, f"bad {what} {text!r}") from None
+        raise ValueError(f"bad {what} {text!r}") from None
 
 
-def _parse_float_field(line_no: int, token: str, name: str) -> float:
-    text = _strip_prefix(line_no, token, f"{name}=")
+def _parse_float_field(token: str, name: str) -> float:
+    text = _strip_prefix(token, f"{name}=")
     try:
         return float(text)
     except ValueError:
-        raise SnapshotFormatError(line_no, f"bad {name} {text!r}") from None
+        raise ValueError(f"bad {name} {text!r}") from None

@@ -120,3 +120,14 @@ class ObservationWindow:
 def _require_id(kind: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"{kind} id {value!r} must be a non-negative int")
+
+
+def parse_id(text: str, what: str) -> int:
+    """``text`` as a non-negative id; ``what`` names it in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+    if value < 0:
+        raise ValueError(f"{what} {value} must not be negative")
+    return value

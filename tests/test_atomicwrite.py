@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 import threading
 
 import pytest
@@ -36,3 +37,17 @@ def test_fifo_is_written_through_not_replaced(tmp_path):
     assert received == ["through\n"]
     assert fifo.is_fifo()
     assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX permission bits")
+def test_permission_bits_of_the_target_are_kept(tmp_path):
+    target = tmp_path / "private.txt"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    for path, text in ((target, "direct\n"), (link, "linked\n")):
+        write_text_atomically(path, text)
+        assert target.read_text() == text
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert link.is_symlink()

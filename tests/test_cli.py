@@ -420,3 +420,14 @@ def test_repl_load_command_with_undeclared_steps_keeps_the_engine(
     assert "2 entries" in out
     assert "pred=9" not in out
     assert lines[-1].startswith("suggestion: step=3")
+
+
+@pytest.mark.parametrize("steps,message", [
+    ("1,x", "bad step id 'x'"),
+    ("1,-2", "step id -2 must not be negative"),
+])
+def test_repl_bad_step_list_is_a_usage_error(capsys, monkeypatch, steps, message):
+    code, out, err = repl(capsys, monkeypatch, "1\n", "--steps", steps)
+    assert code == 1
+    assert err.splitlines() == [f"error: {message}"]
+    assert out == ""

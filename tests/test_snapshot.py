@@ -127,31 +127,57 @@ def test_parsed_entries_keep_ids_and_values():
     assert db.entry(1).condition == (2,)
 
 
+HEADER = "LOOKUPDB v1 alpha=0.8 theta=0.5\n"
+ENTRY = "E 0 cond=1 pred=2 p=0.5\n"
+EXPECTED_HEADER = "expected header 'LOOKUPDB v1 alpha=... theta=...'"
+
+# (text, line number, message): every raise site of the reader.
 BAD_SNAPSHOTS = [
-    ("RULEBOOK v1 alpha=0.8 theta=0.5\n", 1),
-    ("LOOKUPDB v2 alpha=0.8 theta=0.5\n", 1),
-    ("LOOKUPDB v1 alpha=1.5 theta=0.5\n", 1),
-    ("LOOKUPDB v1 alpha=0.8 theta=1.0\n", 1),
-    ("LOOKUPDB v1 alpha=0.8\n", 1),
-    ("", 1),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nE 1 cond=1 pred=2 p=0.5\n", 2),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nE 0 cond= pred=2 p=0.5\n", 2),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nE 0 cond=1 pred=2 p=1.5\n", 2),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nE 0 cond=x pred=2 p=0.5\n", 2),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nS 0 0 total=1 5:1\n", 2),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nE 0 cond=1 pred=2 p=0.5\n", 3),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nS 0 1 total=1 5:1\n", 3),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nS 0 -1 total=1 5:1\n", 3),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nS 0 0 total=2 5:1\n", 3),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nS 0 0 total=0\n", 3),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\n"
-     "E 0 cond=1 pred=2 p=0.5\nS 0 0 total=1 5:1\nS 0 0 total=1 5:1\n", 4),
-    ("LOOKUPDB v1 alpha=0.8 theta=0.5\nbogus\n", 2),
+    ("RULEBOOK v1 alpha=0.8 theta=0.5\n", 1, EXPECTED_HEADER),
+    ("LOOKUPDB v2 alpha=0.8 theta=0.5\n", 1, "unsupported snapshot version 'v2'"),
+    ("LOOKUPDB v1 alpha=1.5 theta=0.5\n", 1, "alpha 1.5 outside (0, 1)"),
+    ("LOOKUPDB v1 alpha=0.8 theta=1.0\n", 1, "theta 1.0 outside [0, 1)"),
+    ("LOOKUPDB v1 alpha=0.8\n", 1, EXPECTED_HEADER),
+    ("", 1, "missing snapshot header"),
+    ("LOOKUPDB v1 alpha=x theta=0.5\n", 1, "bad alpha 'x'"),
+    ("LOOKUPDB v1 alpha=0.8 theta=x\n", 1, "bad theta 'x'"),
+    (HEADER + "E 1 cond=1 pred=2 p=0.5\n", 2, "entry id 1 out of order, expected 0"),
+    (HEADER + "E 0 cond= pred=2 p=0.5\n", 2, "expected cond=<value>, got 'cond='"),
+    (HEADER + "E 0 cond=1 pred=2 p=1.5\n", 2, "probability 1.5 outside [0, 1]"),
+    (HEADER + "E 0 cond=x pred=2 p=0.5\n", 2, "bad condition 'x'"),
+    (HEADER + "S 0 0 total=1 5:1\n", 2, "slot line before any entry line"),
+    (HEADER + ENTRY + ENTRY, 3, "entry id 0 out of order, expected 1"),
+    (HEADER + ENTRY + "S 0 1 total=1 5:1\n", 3, "condition index 1 outside [0, 0]"),
+    (HEADER + ENTRY + "S 0 -1 total=1 5:1\n", 3, "condition index -1 outside [0, 0]"),
+    (HEADER + ENTRY + "S 0 0 total=2 5:1\n", 3, "context counts sum to 1, total says 2"),
+    (HEADER + ENTRY + "S 0 0 total=0\n", 3, "slot total 0 must be positive"),
+    (HEADER + ENTRY + "S 0 0 total=1 5:1\nS 0 0 total=1 5:1\n", 4,
+     "duplicate slot for classification 0 index 0"),
+    (HEADER + "bogus\n", 2, "unknown line tag 'bogus'"),
+    (HEADER + "E x cond=1 pred=2 p=0.5\n", 2, "bad entry id 'x'"),
+    (HEADER + "E 0 cond=1 pred=x p=0.5\n", 2, "bad prediction 'x'"),
+    (HEADER + "E 0 cond=1 pred=-2 p=0.5\n", 2, "prediction -2 must not be negative"),
+    (HEADER + "E 0 cond=1 pred=2 p=x\n", 2, "bad p 'x'"),
+    (HEADER + "E 0 cond=1 pred=2 q=0.5\n", 2, "expected p=<value>, got 'q=0.5'"),
+    (HEADER + "E 0 cond=1 pred=2\n", 2,
+     "entry line needs: E <id> cond=... pred=... p=..."),
+    (HEADER + "E 0 cond=1,-2,3 pred=3 p=0.5\n", 2,
+     "step id -2 must be a non-negative int"),
+    (HEADER + ENTRY + "E 1 cond=1 pred=2 p=0.5\n", 3,
+     "entry with condition (1,) predicting 2 already exists"),
+    (HEADER + ENTRY + "S x 0 total=1 5:1\n", 3, "bad classification id 'x'"),
+    (HEADER + ENTRY + "S -1 0 total=1 5:1\n", 3,
+     "classification id -1 must not be negative"),
+    (HEADER + ENTRY + "S 0 x total=1 5:1\n", 3, "bad condition index 'x'"),
+    (HEADER + ENTRY + "S 0 0 total=x 5:1\n", 3, "bad total 'x'"),
+    (HEADER + ENTRY + "S 0 0 count=1 5:1\n", 3, "expected total=<value>, got 'count=1'"),
+    (HEADER + ENTRY + "S 0 0 total=1 x:1\n", 3, "bad context id 'x'"),
+    (HEADER + ENTRY + "S 0 0 total=1 5:x\n", 3, "bad context count 'x'"),
+    (HEADER + ENTRY + "S 0 0 total=1 5:-1\n", 3, "context count -1 must not be negative"),
+    (HEADER + ENTRY + "S 0 0 total=1 5:0\n", 3, "context count 0 must be positive"),
+    (HEADER + ENTRY + "S 0 0 total=2 5:1 5:1\n", 3, "duplicate context 5 in slot"),
+    (HEADER + ENTRY + "S 0 0\n", 3,
+     "slot line needs: S <cc> <index> total=<n> ctx:count..."),
 ]
 
 
@@ -164,8 +190,13 @@ def test_bad_condition_id_is_named_with_its_line():
     assert "step id -2 " in str(excinfo.value)
 
 
-@pytest.mark.parametrize("text,line_no", BAD_SNAPSHOTS)
-def test_malformed_snapshots_report_the_line(text, line_no):
+@pytest.mark.parametrize(
+    "text,line_no,message",
+    BAD_SNAPSHOTS,
+    ids=[f"{text}-{line_no}" for text, line_no, _ in BAD_SNAPSHOTS],
+)
+def test_malformed_snapshots_report_the_line(text, line_no, message):
     with pytest.raises(SnapshotFormatError) as excinfo:
         parse_snapshot(text)
-    assert f"line {line_no}:" in str(excinfo.value)
+    assert str(excinfo.value) == f"line {line_no}: {message}"
+    assert excinfo.value.line_no == line_no
