@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
-from .lookupdb import (
-    ContextEvidence,
-    Entry,
-    LookupDB,
-    context_fit,
-    record_contexts,
-    slot_keys,
-)
+from .lookupdb import Entry, LookupDB, context_fit, record_contexts, slot_keys
 from .errors import UnknownIdError
 from .window import (
     ClassificationId,
@@ -71,20 +64,19 @@ def _require_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
         raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {value!r}")
 
 
-def relevance_mean(evidence: list[ContextEvidence], theta: float) -> float:
-    """Mean of the evidence weights above theta, a fit in [0, 1].
+def relevance_mean(strong: list[float] | None) -> float:
+    """Mean of context_fit()'s strong weights, a fit in [0, 1].
 
-    No evidence at all means nothing speaks against the entry: 1.
-    Evidence where no weight clears theta vetoes the entry: 0.
+    No evidence at all (None) means nothing speaks against the entry: 1.
+    Evidence where no weight clears theta ([]) vetoes the entry: 0.
     Every weight is a count over a total, so the mean never exceeds 1;
     predict() relies on that to stop scoring once no entry can win.
     """
-    if not evidence:
+    if strong is None:
         return 1.0
-    above = [e.weight for e in evidence if e.weight > theta]
-    if not above:
+    if not strong:
         return 0.0
-    return sum(above) / len(above)
+    return sum(strong) / len(strong)
 
 
 @dataclass(frozen=True)
@@ -165,8 +157,7 @@ class Engine:
                 break
             if scoring:
                 fit = relevance_mean(
-                    context_fit(entry, table, self._slot_keys),
-                    self.config.theta,
+                    context_fit(entry, table, self._slot_keys, self.config.theta)
                 )
             else:
                 fit = 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError
@@ -106,40 +106,31 @@ def slot_keys(
     return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(capacity))
 
 
-class ContextEvidence(NamedTuple):
-    """One context weight an entry contributes at prediction time."""
-
-    index: int
-    classification: ClassificationId
-    context: int
-    weight: float
-
-
 def context_fit(
     entry: Entry,
     table: Sequence[Mapping[ClassificationId, ContextId]],
     keys: SlotKeys,
-) -> list[ContextEvidence]:
-    """Weights of the window's current contexts under the entry's counters.
+    theta: float,
+) -> list[float] | None:
+    """The strong weights of the window's contexts under the entry's counters.
 
     ``table`` is the window's ObservationWindow.context_table(), ``keys``
     the engine's lookupdb.slot_keys(), and the entry must match the
-    window at offset 0.  Evidence runs oldest position first, then
-    classification ascending.  Positions where the context is unknown,
-    or where the entry has never counted anything, contribute no
-    evidence at all; a known context that the entry has counted past
-    but never in this value contributes weight 0.
+    window at offset 0.  A cell is evidence where the window knows the
+    context and the entry has counted that classification at that
+    position; its weight is ContextSlot.weight of the context, 0 for a
+    context never counted there.  Returns the weights above ``theta``,
+    oldest position first, then classification ascending, or None when
+    no cell is evidence at all.
     """
     length = len(entry.condition)
     if length > len(table):
         raise _table_too_short(length, len(table))
-    evidence: list[ContextEvidence] = []
     slots = entry.slots
     if not slots:
-        return evidence
-    # Builds each item as namedtuple's own _make does, skipping the
-    # Python-level __new__ that a ContextEvidence(...) call runs.
-    make = tuple.__new__
+        return None
+    strong: list[float] = []
+    counted = False
     for pos in range(length - 1, -1, -1):
         contexts = table[pos]
         for cc, key in keys[pos]:
@@ -149,11 +140,13 @@ def context_fit(
             slot = slots.get(key)
             if slot is None or slot.total == 0:
                 continue
+            counted = True
             # ContextSlot.weight, inline: one method call per cell is
             # most of this loop's cost.
             weight = slot.per_context.get(ctx, 0) / slot.total
-            evidence.append(make(ContextEvidence, (-pos, cc, ctx, weight)))
-    return evidence
+            if weight > theta:
+                strong.append(weight)
+    return strong if counted else None
 
 
 def record_contexts(
@@ -227,6 +220,8 @@ class LookupDB:
         for step in condition + (prediction,):
             if not isinstance(step, int) or isinstance(step, bool) or step < 0:
                 raise ValueError(f"step id {step!r} must be a non-negative int")
+        if isinstance(p, bool):
+            raise ValueError(f"probability {p!r} must be a float, not a bool")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")
         by_prediction = self._by_condition.get(condition)
@@ -236,7 +231,7 @@ class LookupDB:
             raise ValueError(
                 f"entry with condition {condition} predicting {prediction} already exists"
             )
-        entry = Entry(len(self._entries), condition, prediction, p)
+        entry = Entry(len(self._entries), condition, prediction, float(p))
         self._entries.append(entry)
         by_prediction[prediction] = entry.entry_id
         if len(condition) > self._max_length:

@@ -77,7 +77,7 @@ class ObservationWindow:
         if not isinstance(step, int) or isinstance(step, bool) or step not in self.steps:
             raise UnknownIdError(f"step {step!r} is not declared")
         for cc, ctx in observation.contexts.items():
-            if cc not in self.classifications:
+            if not isinstance(cc, int) or isinstance(cc, bool) or cc not in self.classifications:
                 raise UnknownIdError(f"classification {cc!r} is not declared")
             if not isinstance(ctx, int) or isinstance(ctx, bool) or ctx < 0:
                 raise UnknownIdError(f"context id {ctx!r} must be a non-negative int")

@@ -180,7 +180,7 @@ def test_criterion_6_baseline_equals_forced_relevance(capsys, monkeypatch):
         trace, PredictorConfig(engine_mode="baseline")
     )
     monkeypatch.setattr(nextstep.engine, "relevance_mean",
-                        lambda evidence, theta: 1.0)
+                        lambda strong: 1.0)
     shadow_engine, shadow_rows = run_trace(
         trace, PredictorConfig(engine_mode="context")
     )

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig
-from nextstep.engine import ContextEvidence, context_fit, relevance_mean
+from nextstep.engine import context_fit, relevance_mean
 from nextstep.errors import UnknownIdError, WindowRangeError
 from nextstep.lookupdb import (
     ContextSlot,
@@ -101,35 +101,81 @@ def test_learn_rejects_a_step_that_is_not_an_int_without_mutating(
 # -- relevance scoring -----------------------------------------------------
 
 
-def evidence(*weights):
-    return [ContextEvidence(0, 0, 0, w) for w in weights]
+def fit_of(slots, contexts, theta=0.5):
+    """context_fit of a length-len(contexts) rule whose counters are
+    ``slots``, against a window whose oldest-first context records are
+    ``contexts``; classifications 0 and 1 are declared."""
+    window = ObservationWindow(5, steps=(1,), classifications=(0, 1))
+    for record in contexts:
+        window.push(Observation(1, record))
+    entry = LookupDB().add((1,) * len(contexts), 1, 0.5)
+    entry.slots.update(slots)
+    return context_fit(entry, window.context_table(), slot_keys((0, 1), 5), theta)
 
 
 def test_relevance_of_no_evidence_is_one():
-    assert relevance_mean([], 0.5) == 1.0
+    assert relevance_mean(None) == 1.0
 
 
 def test_relevance_with_nothing_above_threshold_is_zero():
-    assert relevance_mean(evidence(0.5, 0.2, 0.0), 0.5) == 0.0
+    assert relevance_mean([]) == 0.0
+    # weights 0.5, 0.0 and 0.25: evidence, none of it strong
+    slots = {(0, -1): slot_of(5, 6), (1, -1): slot_of(5), (0, 0): slot_of(1, 2, 2, 2)}
+    assert fit_of(slots, [{0: 5, 1: 6}, {0: 1}]) == []
 
 
 def test_relevance_averages_only_weights_above_threshold():
-    assert relevance_mean(evidence(0.9, 0.6, 0.3), 0.5) == (0.9 + 0.6) / 2
+    assert relevance_mean([0.9, 0.6]) == (0.9 + 0.6) / 2
+    # weights 1.0, 0.25 and 2/3: the weak middle one is dropped
+    slots = {(0, -1): slot_of(5), (1, -1): slot_of(1, 2, 2, 2), (0, 0): slot_of(4, 4, 3)}
+    strong = fit_of(slots, [{0: 5, 1: 1}, {0: 4}])
+    assert strong == [1.0, 2 / 3]
+    assert relevance_mean(strong) == (1.0 + 2 / 3) / 2
 
 
 def test_relevance_threshold_is_strict():
-    assert relevance_mean(evidence(0.5), 0.5) == 0.0
-    assert relevance_mean(evidence(0.500001), 0.5) > 0.0
+    # a weight equal to theta is not strong
+    assert fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.5) == []
+    assert fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.499999) == [0.5]
+
+
+def test_no_evidence_scores_one_and_weak_evidence_vetoes():
+    # None and [] differ: slots only where the window has no context
+    # are no evidence at all, counted weak weights are a veto
+    absent = fit_of({(1, 0): slot_of(5), (0, -1): slot_of(5)}, [{}, {0: 5}])
+    assert absent is None
+    assert relevance_mean(absent) == 1.0
+    weak = fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}])
+    assert weak == []
+    assert relevance_mean(weak) == 0.0
+    assert fit_of({}, [{0: 5}]) is None
+    assert fit_of({(0, 0): ContextSlot()}, [{0: 5}]) is None
 
 
 @given(
-    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=12),
+    st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 1), st.integers(0, 3), max_size=2),
+            st.dictionaries(
+                st.integers(0, 1), st.lists(st.integers(0, 3), max_size=6), max_size=2
+            ),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
 )
-def test_relevance_stays_within_unit_interval(weights, theta):
+def test_relevance_stays_within_unit_interval(positions, theta):
     # predict() stops scoring once p drops below the best fit * p, which
-    # is only exact while no fit exceeds 1
-    assert 0.0 <= relevance_mean(evidence(*weights), theta) <= 1.0
+    # is only exact while no fit exceeds 1; positions run oldest first,
+    # each a window context record and the rule's counted contexts
+    slots = {
+        (cc, pos + 1 - len(positions)): slot_of(*seen)
+        for pos, (_, counted) in enumerate(positions)
+        for cc, seen in counted.items()
+    }
+    strong = fit_of(slots, [record for record, _ in positions], theta)
+    assert 0.0 <= relevance_mean(strong) <= 1.0
 
 
 def test_context_fit_reads_condition_positions():
@@ -139,14 +185,12 @@ def test_context_fit_reads_condition_positions():
     db = LookupDB()
     entry = db.add((1, 2), 1, 0.5)
     entry.slots[(0, -1)] = slot_of(7)
-    entry.slots[(0, 0)] = slot_of(8, 9)
-    got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5))
+    entry.slots[(0, 0)] = slot_of(8, 8, 9)
+    got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5), 0.5)
     # classification 1 at index -1 is absent from the window record and
-    # the (1, 0) slot was never counted, so neither contributes
-    assert got == [
-        ContextEvidence(-1, 0, 7, 1.0),
-        ContextEvidence(0, 0, 8, 0.5),
-    ]
+    # the (1, 0) slot was never counted, so neither contributes; index
+    # -1's weight comes before index 0's
+    assert got == [1.0, 2 / 3]
 
 
 def test_context_fit_counts_mismatching_context_as_zero_weight():
@@ -155,10 +199,11 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     db = LookupDB()
     entry = db.add((1,), 1, 0.5)
     entry.slots[(0, 0)] = slot_of(5)
-    got = context_fit(entry, window.context_table(), slot_keys((0,), 5))
-    assert got == [ContextEvidence(0, 0, 6, 0.0)]
-    # one piece of evidence, none above threshold: hard veto
-    assert relevance_mean(got, 0.5) == 0.0
+    got = context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.0)
+    # one piece of evidence of weight 0, not strong even at theta 0:
+    # hard veto
+    assert got == []
+    assert relevance_mean(got) == 0.0
 
 
 def test_context_fit_rejects_a_condition_longer_than_the_table():
@@ -168,7 +213,7 @@ def test_context_fit_rejects_a_condition_longer_than_the_table():
     entry = db.add((2, 3), 1, 0.5)
     entry.slots[(0, 0)] = slot_of(5)
     with pytest.raises(WindowRangeError):
-        context_fit(entry, window.context_table(), slot_keys((0,), 5))
+        context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.5)
 
 
 # -- prediction and ranking -------------------------------------------------
@@ -551,7 +596,7 @@ def test_baseline_equals_relevance_forced_to_one(monkeypatch):
         trace, PredictorConfig(engine_mode="baseline")
     )
     monkeypatch.setattr(
-        nextstep.engine, "relevance_mean", lambda evidence, theta: 1.0
+        nextstep.engine, "relevance_mean", lambda strong: 1.0
     )
     shadow_engine, shadow_rows = run_trace(
         trace, PredictorConfig(engine_mode="context")
@@ -647,22 +692,26 @@ def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
 ):
     # Slot keys are premade per position from the sorted classifications;
     # sparse ids declared out of order catch a table built in declaration
-    # order or at the wrong position.  Every scored rule's evidence, in
-    # order, must equal the shadow's.
+    # order or at the wrong position.  Every scored rule's strong weights,
+    # in order, must equal those of the shadow's evidence.
     classifications = (9, 3, 5)
     scored = []
     compared = 0
 
-    def recording_fit(entry, table, keys):
-        evidence = context_fit(entry, table, keys)
-        scored.append((entry.entry_id, evidence))
-        return evidence
+    def recording_fit(entry, table, keys, theta):
+        strong = context_fit(entry, table, keys, theta)
+        scored.append((entry.entry_id, strong))
+        return strong
 
     def compare_evidence(t):
         nonlocal compared
-        for entry_id, evidence in scored:
-            assert evidence == shadow.evidence(shadow.entries[entry_id])
-            compared += len(evidence) > 1
+        for entry_id, strong in scored:
+            evidence = shadow.evidence(shadow.entries[entry_id])
+            if evidence:
+                assert strong == [w for *_, w in evidence if w > shadow.theta]
+            else:
+                assert strong is None
+            compared += strong is not None and len(strong) > 1
         scored.clear()
 
     monkeypatch.setattr(nextstep.engine, "context_fit", recording_fit)
@@ -677,20 +726,23 @@ def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
 
 
 def test_context_fit_weights_equal_the_slot_weights(monkeypatch):
-    # context_fit computes ContextSlot.weight inline; every item it
-    # yields must still be a ContextEvidence carrying exactly that weight.
+    # context_fit computes ContextSlot.weight inline; every weight it
+    # returns must be exactly the slot weight of its cell, in cell order.
     classifications = (9, 3, 5)
     checked = 0
 
-    def checking_fit(entry, table, keys):
+    def checking_fit(entry, table, keys, theta):
         nonlocal checked
-        evidence = context_fit(entry, table, keys)
-        for item in evidence:
-            assert type(item) is ContextEvidence
-            slot = entry.slots[(item.classification, item.index)]
-            assert item.weight == slot.weight(item.context)
-            checked += 1
-        return evidence
+        strong = context_fit(entry, table, keys, theta)
+        expected = []
+        for pos in range(len(entry.condition) - 1, -1, -1):
+            for cc in sorted(classifications):
+                slot = entry.slots.get((cc, -pos))
+                if cc in table[pos] and slot is not None:
+                    expected.append(slot.weight(table[pos][cc]))
+        assert strong == ([w for w in expected if w > theta] if expected else None)
+        checked += len(strong or ())
+        return strong
 
     monkeypatch.setattr(nextstep.engine, "context_fit", checking_fit)
     rng = random.Random(34)

@@ -13,6 +13,8 @@ from nextstep.lookupdb import (
     ContextSlot,
     LookupDB,
     condition_matches,
+    dump_snapshot,
+    parse_snapshot,
     record_contexts,
     slot_keys,
     update_probability,
@@ -140,6 +142,27 @@ def test_add_rejects_a_bool_step(condition, prediction):
     with pytest.raises(ValueError, match=r"step id True "):
         db.add(condition, prediction, 0.5)
     assert len(db) == 0
+
+
+@pytest.mark.parametrize("p", [True, False])
+def test_add_rejects_a_bool_p(p):
+    # a bool p would be dumped as p=True, which no snapshot reader takes
+    db = LookupDB()
+    with pytest.raises(ValueError, match=rf"probability {p} must be a float"):
+        db.add((2,), 3, p)
+    assert len(db) == 0
+    assert db.find((2,), 3) is None
+
+
+@pytest.mark.parametrize("p,text", [(1, "p=1.0"), (0, "p=0.0")])
+def test_add_stores_an_int_p_as_a_float(p, text):
+    # an int p dumped as p=1 would reload as 1.0 and dump differently
+    db = LookupDB()
+    entry = db.add((1,), 2, p)
+    assert type(entry.p) is float and entry.p == p
+    snapshot = dump_snapshot(db, 0.8, 0.5)
+    assert snapshot.endswith(f" {text}\n")
+    assert dump_snapshot(parse_snapshot(snapshot)[0], 0.8, 0.5) == snapshot
 
 
 def test_condition_at_is_relative_to_newest():

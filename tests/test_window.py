@@ -99,10 +99,16 @@ def test_push_rejects_a_step_that_is_not_an_int_without_mutating(step):
 
 
 def test_push_rejects_undeclared_classification_without_mutating():
+    # True and 1.0 hash like the declared classification 1 but are no id
     window = make_window()
-    with pytest.raises(UnknownIdError):
-        window.push(Observation(1, {7: 0}))
-    assert len(window) == 0
+    window.push(Observation(2))
+    for cc in (7, True, 1.0, "1"):
+        with pytest.raises(UnknownIdError, match="is not declared"):
+            window.push(Observation(1, {cc: 3}))
+        assert len(window) == 1
+        assert window.step_at(0) == 2
+        assert window.context_table() == [{}]
+        assert window.pushes == 1
 
 
 def test_push_rejects_negative_context():
