@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable
 
-from .lookupdb import Entry, LookupDB, context_fit, record_contexts, slot_keys
+from .lookupdb import (
+    Entry,
+    LookupDB,
+    Matches,
+    context_fit,
+    record_contexts,
+    slot_keys,
+)
 from .errors import UnknownIdError
 from .window import (
     ClassificationId,
@@ -111,6 +118,12 @@ class Engine:
                         f"entry {entry.entry_id} uses step {step!r}, "
                         "which is not declared"
                     )
+            for cc, _ in entry.slots:
+                if cc not in self.classifications:
+                    raise UnknownIdError(
+                        f"entry {entry.entry_id} uses classification {cc!r}, "
+                        "which is not declared"
+                    )
         # Built once: every rule's counters reuse these keys, and their
         # sorted order keeps evidence order stable.
         self._slot_keys = slot_keys(self.classifications, self.config.window_capacity)
@@ -120,9 +133,9 @@ class Engine:
         # ObservationWindow define no __eq__, so stamps compare them by
         # identity.
         self._matches_stamp: tuple[LookupDB, int, ObservationWindow, int] | None = None
-        self._matches_memo: list[Entry] = []
+        self._matches_memo = Matches()
 
-    def _matches(self) -> list[Entry]:
+    def _matches(self) -> Matches:
         """Entries matching the window now, id ascending; do not modify.
 
         Rules are only ever added, so the list is looked up again only
@@ -181,9 +194,9 @@ class Engine:
         rules matching the window before the push, with that window's
         context table and newest step, push the observation, score the
         open prediction, update every rule taken before the push, take
-        the rules matching the window after it, store the fresh length-1
-        rule, then extend.  Every rule counts its contexts from that
-        table, the span it matched.
+        the rules matching the window after it and the p children
+        inherit, store the fresh length-1 rule, then extend.  Every rule
+        counts its contexts from that table, the span it matched.
         """
         window = self.window
         matches = self._matches()
@@ -198,63 +211,76 @@ class Engine:
         gain = 1.0 - alpha
         keys = self._slot_keys
         record_all = self.config.context_update_scope == "all-matching"
-        # (previous,)->step exists iff a length-1 match predicts step.
-        pair_missing = previous is not None
         # lookupdb.update_probability, inline and with the same float
         # expressions, so every p stays bit-identical.
         for entry in matches:
             if entry.prediction == step:
                 entry.p = alpha * entry.p + gain
                 record_contexts(entry, table, keys)
-                if len(entry.condition) == 1:
-                    pair_missing = False
             else:
                 entry.p = alpha * entry.p
                 if record_all:
                     record_contexts(entry, table, keys)
-        # Taken before any rule is stored, so it holds only older rules.
-        pushed = self._matches() if correct else []
-        if pair_missing:
-            record_contexts(self.db.add((previous,), step, gain), table, keys)
         if correct:
-            self._extend(matches, pushed, step)
+            # Taken before any rule is stored: the pushed tables are
+            # live, and the fresh pair rule lands on their path when
+            # previous == step.
+            pushed = self._matches()
+            inherit_p = self._inherited_p(pushed)
+        # The pair rule (previous,)->step sits at the pre-push walk's
+        # first table, if the walk got that far.
+        if previous is not None:
+            tables = matches.by_length
+            if not tables or step not in tables[0]:
+                record_contexts(self.db.add((previous,), step, gain), table, keys)
+        if correct:
+            self._extend(matches, pushed, step, inherit_p)
         self._last_prediction = None
         return correct
 
-    def _extend(self, matches: list[Entry], pushed: list[Entry], step: StepId) -> None:
-        """Grow confirmed rules by one step; children inherit one p.
+    def _inherited_p(self, pushed: Matches) -> float:
+        """The p new children start with.
+
+        It comes from the longest rule matching the window after the
+        push with p > 0, the one prediction would lean on now; ties go
+        to the higher p, then the older rule.  With no such rule it is
+        1 - alpha, the p of a fresh pair rule.
+        """
+        entry = self.db.entry
+        tables = pushed.by_length
+        for length in range(len(tables), 0, -1):
+            best = 0.0
+            # Entry ids ascend in each table, so the first of equal p
+            # is the older rule.
+            for entry_id in tables[length - 1].values():
+                p = entry(entry_id).p
+                if p > best:
+                    best = p
+            if best > 0.0:
+                return best
+        return 1.0 - self.config.alpha
+
+    def _extend(
+        self, matches: Matches, pushed: Matches, step: StepId, inherit_p: float
+    ) -> None:
+        """Grow confirmed rules by one step; children start at ``inherit_p``.
 
         ``matches`` and ``pushed`` hold the rules matching the window
-        before and after the push, taken before learn() stored a rule,
-        and ``step`` is the newest one.  The inherited p comes from the
-        longest rule in ``pushed`` with p > 0, the one prediction would
-        lean on now; ties go to the higher p, then the older rule.
+        before and after the push, and ``step`` is the newest one.
 
         A child is a suffix of the window, after the push when it
         appends the observation and before it when it extends into the
         past.  Either way it stays shorter than the window after the
-        push, so no child is as long as ``window_capacity``.  Every rule
-        matching that window is a suffix of it too, so the child exists
-        iff that window's matches hold a rule of the child's length with
-        the parent's prediction; the db is never probed.
+        push, so no child is as long as ``window_capacity``.  The child
+        of a rule of length L exists iff the table of length L + 1 in
+        that window's walk holds the parent's prediction; the db is
+        never probed.  The tables are live, but nothing stored since the
+        walks can fake a child: the pair rule has length 1, and no two
+        children share a length and a prediction.
         """
         append = self.config.extension_direction == "append-observation"
-        # (condition length, prediction) of every rule matching the
-        # window the children are suffixes of.
-        existing: set[tuple[int, StepId]] = set()
-        donor_length, donor_p = 0, 0.0
-        for entry in pushed:
-            length = len(entry.condition)
-            if append:
-                existing.add((length, entry.prediction))
-            p = entry.p
-            if p > 0.0 and (
-                length > donor_length or (length == donor_length and p > donor_p)
-            ):
-                donor_length, donor_p = length, p
-        inherit_p = donor_p if donor_length else 1.0 - self.config.alpha
-        if not append:
-            existing = {(len(e.condition), e.prediction) for e in matches}
+        tables = pushed.by_length if append else matches.by_length
+        depth = len(tables)
         if self.config.extension_scope == "correct-only":
             matches = [e for e in matches if e.prediction == step]
         limit = len(self.window)
@@ -262,17 +288,17 @@ class Engine:
         add = self.db.add
         for parent in matches:
             condition = parent.condition
-            child_length = len(condition) + 1
-            if child_length >= limit:
+            length = len(condition)
+            if length + 1 >= limit:
                 continue
-            if (child_length, parent.prediction) in existing:
+            if length < depth and parent.prediction in tables[length]:
                 continue
             if append:
                 condition += (step,)
             else:
                 # Prepend the step just older than the span the parent
-                # matched, which sits at window index -child_length.
-                condition = (step_at(-child_length),) + condition
+                # matched, which sits at window index -(length + 1).
+                condition = (step_at(-length - 1),) + condition
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong
             # ancestor outvote everything the child itself ever observes,

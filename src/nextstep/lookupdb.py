@@ -4,7 +4,8 @@ Each entry pairs a condition (a run of consecutive steps, oldest first)
 with a predicted next step, a reinforcement probability, and per-index
 context counters.  The database enforces that no two entries share the
 same (condition, prediction) pair and answers "which entries match the
-window right now" via an index over condition tuples.
+window right now" with one walk down a suffix trie keyed newest step
+first.
 
 Snapshots are line-oriented UTF-8 text so diffs stay readable and two
 equal databases serialize byte-identically.
@@ -182,18 +183,44 @@ def record_contexts(
                 counts[ctx] = counts.get(ctx, 0) + 1
 
 
-class LookupDB:
-    """All stored rules, indexed for suffix matching.
+class Matches(list):
+    """LookupDB.matching_entries' result: the matching entries, id ascending.
 
-    Entry ids are dense list positions and never reused.  The condition
-    index maps a condition tuple to the ids stored under it, one per
-    distinct prediction.
+    ``by_length[length - 1]`` maps prediction to entry id for the rules
+    whose condition is the ``length`` newest steps of the matched run,
+    for every length the trie walk reached; a length past the end has
+    no rule.  The tables are the trie's own and stay live: a rule added
+    later on the same path shows up in them but not in the list.
+    """
+
+    __slots__ = ("by_length",)
+
+    by_length: list[dict[StepId, int]]
+
+
+class _Node:
+    """One trie node: the condition spelled by the path, newest step first."""
+
+    __slots__ = ("children", "rules")
+
+    def __init__(self) -> None:
+        self.children: dict[StepId, _Node] = {}
+        # prediction -> entry id of every rule with this node's condition
+        self.rules: dict[StepId, int] = {}
+
+
+class LookupDB:
+    """All stored rules, in a suffix trie for matching the window.
+
+    Entry ids are dense list positions and never reused.  The trie is
+    keyed newest step first: the path from the root spells a condition
+    backwards, so the rules matching a window all sit on the one path
+    its steps spell, read from the newest.
     """
 
     def __init__(self) -> None:
         self._entries: list[Entry] = []
-        self._by_condition: dict[tuple[StepId, ...], dict[StepId, int]] = {}
-        self._max_length = 0
+        self._root = _Node()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -206,14 +233,19 @@ class LookupDB:
 
     def find(self, condition: tuple[StepId, ...], prediction: StepId) -> Entry | None:
         """The entry with exactly this condition and prediction, if any."""
-        by_prediction = self._by_condition.get(tuple(condition))
-        if by_prediction is None:
-            return None
-        entry_id = by_prediction.get(prediction)
+        node: _Node | None = self._root
+        for step in reversed(condition):
+            node = node.children.get(step)
+            if node is None:
+                return None
+        entry_id = node.rules.get(prediction)
         return None if entry_id is None else self._entries[entry_id]
 
     def add(self, condition: tuple[StepId, ...], prediction: StepId, p: float) -> Entry:
-        """Store a new rule; (condition, prediction) must be unused."""
+        """Store a new rule; (condition, prediction) must be unused.
+
+        A rejected rule leaves the database as it was.
+        """
         condition = tuple(condition)
         if not condition:
             raise ValueError("condition must not be empty")
@@ -224,40 +256,45 @@ class LookupDB:
             raise ValueError(f"probability {p!r} must be a float, not a bool")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")
-        by_prediction = self._by_condition.get(condition)
-        if by_prediction is None:
-            by_prediction = self._by_condition[condition] = {}
-        elif prediction in by_prediction:
+        node = self._root
+        for step in reversed(condition):
+            child = node.children.get(step)
+            if child is None:
+                child = node.children[step] = _Node()
+            node = child
+        # A taken pair means its whole path existed: nothing was built.
+        if prediction in node.rules:
             raise ValueError(
                 f"entry with condition {condition} predicting {prediction} already exists"
             )
         entry = Entry(len(self._entries), condition, prediction, float(p))
         self._entries.append(entry)
-        by_prediction[prediction] = entry.entry_id
-        if len(condition) > self._max_length:
-            self._max_length = len(condition)
+        node.rules[prediction] = entry.entry_id
         return entry
 
-    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> list[Entry]:
+    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> Matches:
         """All entries matching the window at ``offset``, id ascending.
 
-        Equivalent to filtering with condition_matches, but walks only
-        the step runs that actually end ``offset`` observations ago.
+        Equivalent to filtering with condition_matches.  One walk down
+        the trie reads the window's steps from index ``-offset`` back
+        and stops at the first step with no child; the tables it passed
+        through come back as the result's ``by_length``.
         """
-        if offset < 0:
-            raise WindowRangeError(f"offset {offset} must not be negative")
-        longest = min(self._max_length, len(window) - offset)
-        if longest <= 0:
-            return []
-        run = window.newest_steps(longest + offset)[:longest]
-        by_condition = self._by_condition
+        node = self._root
+        tables: list[dict[StepId, int]] = []
         ids: list[int] = []
-        for length in range(1, longest + 1):
-            by_prediction = by_condition.get(run[-length:])
-            if by_prediction:
-                ids.extend(by_prediction.values())
+        for observation in window.newest_first(offset):
+            node = node.children.get(observation.step)
+            if node is None:
+                break
+            rules = node.rules
+            tables.append(rules)
+            if rules:
+                ids.extend(rules.values())
         ids.sort()
-        return [self._entries[i] for i in ids]
+        matches = Matches(map(self._entries.__getitem__, ids))
+        matches.by_length = tables
+        return matches
 
 
 def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownIdError, WindowRangeError
 
@@ -94,19 +94,16 @@ class ObservationWindow:
             )
         return self._entries[-index].step
 
-    def newest_steps(self, count: int) -> tuple[StepId, ...]:
-        """The ``count`` newest steps, oldest first.
+    def newest_first(self, offset: int = 0) -> Iterator[Observation]:
+        """Observations from window index ``-offset`` back to the oldest.
 
-        Equal to ``tuple(step_at(i) for i in range(1 - count, 1))``, read
-        in one pass; ``count`` may be 0.
+        Yields the observations at ``-offset``, ``-offset - 1``, ... and
+        nothing when ``offset`` reaches past the oldest one.  The
+        iterator reads the live window: push nothing while using it.
         """
-        if not 0 <= count <= len(self._entries):
-            raise WindowRangeError(
-                f"cannot read {count} steps from a window holding {len(self._entries)}"
-            )
-        steps = [observation.step for observation in islice(self._entries, count)]
-        steps.reverse()
-        return tuple(steps)
+        if offset < 0:
+            raise WindowRangeError(f"offset {offset} must not be negative")
+        return islice(self._entries, offset, None)
 
     def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:
         """Context mappings of every populated position, newest first.

@@ -422,6 +422,43 @@ def test_repl_load_command_with_undeclared_steps_keeps_the_engine(
     assert lines[-1].startswith("suggestion: step=3")
 
 
+def counted_snapshot(tmp_path):
+    """A snapshot whose only rule counts contexts of classification 7."""
+    path = tmp_path / "counted.db"
+    path.write_text(
+        "LOOKUPDB v1 alpha=0.8 theta=0.5\n"
+        "E 0 cond=1 pred=2 p=0.5\n"
+        "S 7 0 total=3 4:3\n"
+    )
+    return path
+
+
+def test_repl_load_with_an_undeclared_classification_is_a_data_error(
+    capsys, monkeypatch, tmp_path
+):
+    path = counted_snapshot(tmp_path)
+    code, out, err = repl(
+        capsys, monkeypatch, "1\n:db\n:quit\n",
+        "--steps", "1,2", "--classifications", "0,1", "--load", str(path),
+    )
+    assert code == 2
+    assert "entry 0 uses classification 7, which is not declared" in err
+    assert out == ""
+
+
+def test_repl_load_command_with_an_undeclared_classification_keeps_the_engine(
+    capsys, monkeypatch, tmp_path
+):
+    path = counted_snapshot(tmp_path)
+    code, out, _ = repl(capsys, monkeypatch, f"2\n3\n:load {path}\n:db\n:quit\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert any(line.startswith("error: ") and "uses classification 7" in line
+               for line in lines)
+    assert not any(line.startswith("loaded ") for line in lines)
+    assert "7,0=" not in out
+
+
 @pytest.mark.parametrize("steps,message", [
     ("1,x", "bad step id 'x'"),
     ("1,-2", "step id -2 must not be negative"),

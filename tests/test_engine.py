@@ -83,6 +83,18 @@ def test_db_using_an_undeclared_step_is_rejected(condition, prediction):
         Engine(PredictorConfig(), (1, 2), (), db)
 
 
+def test_db_counting_an_undeclared_classification_is_rejected():
+    db = LookupDB()
+    db.add((1,), 2, 0.5)
+    entry = db.add((2,), 1, 0.9)
+    entry.slots[(0, 0)] = ContextSlot(3, {4: 3})
+    entry.slots[(7, 0)] = ContextSlot(3, {4: 3})
+    with pytest.raises(UnknownIdError, match="entry 1 uses classification 7, "
+                       "which is not declared"):
+        Engine(PredictorConfig(), (1, 2), (0, 1), db)
+    assert Engine(PredictorConfig(), (1, 2), (0, 7), db).db is db
+
+
 @pytest.mark.parametrize("step", [1.0, True])
 @pytest.mark.parametrize("pair_rule_known", [False, True])
 def test_learn_rejects_a_step_that_is_not_an_int_without_mutating(
@@ -582,6 +594,33 @@ def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
     assert len(engine.db) == size
     assert len(extensions) == 30
     assert probes == []
+
+
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_children_inherit_p_from_rules_older_than_the_fresh_pair_rule(direction):
+    # The step repeats (previous == step), so the fresh pair rule (1,)->1
+    # matches the window after the push.  Its p = 1 - alpha must not
+    # reach the children: they inherit from the rules that matched that
+    # window before it was stored, here only (1,)->3 at ALPHA * 0.16.
+    db = LookupDB()
+    db.add((2, 1), 1, 0.5)
+    db.add((1,), 3, 0.16)
+    engine = make_engine(steps=(1, 2, 3), classifications=(), db=db,
+                         extension_direction=direction)
+    for step in (3, 2, 1):
+        engine.window.push(Observation(step))
+    assert engine.predict().step == 1
+    assert engine.learn(Observation(1)) is True
+    assert engine.db.find((1,), 1).p == Q
+    assert len(engine.db) == 5
+    children = [engine.db.entry(i) for i in (3, 4)]
+    if direction == "append-observation":
+        assert [(c.condition, c.prediction) for c in children] == [
+            ((2, 1, 1), 1), ((1, 1), 3)]
+    else:
+        assert [(c.condition, c.prediction) for c in children] == [
+            ((3, 2, 1), 1), ((2, 1), 3)]
+    assert [c.p for c in children] == [ALPHA * 0.16] * 2
 
 
 # -- baseline equivalence --------------------------------------------------------

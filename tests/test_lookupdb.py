@@ -242,21 +242,91 @@ def test_match_agrees_with_brute_force_slices():
 
 
 def test_matching_entries_equals_per_entry_matching():
+    # Rules are added between lookups, and before each offset, so the
+    # trie is checked as it grows and not only once it is built.
     rng = random.Random(7)
     db = LookupDB()
     seen = set()
-    for _ in range(120):
+
+    def add_random_rule():
         condition = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 5)))
         prediction = rng.randint(1, 4)
         if (condition, prediction) not in seen:
             seen.add((condition, prediction))
             db.add(condition, prediction, 0.5)
+
+    for _ in range(40):
+        add_random_rule()
     for _ in range(200):
         window = window_from([rng.randint(1, 4) for _ in range(rng.randint(0, 10))])
         for offset in range(0, 3):
-            fast = [e.entry_id for e in db.matching_entries(window, offset)]
+            add_random_rule()
+            found = db.matching_entries(window, offset)
+            fast = [e.entry_id for e in found]
             slow = [e.entry_id for e in db if condition_matches(e, window, offset)]
             assert fast == sorted(slow) == slow
+            # by_length groups the matches by condition length and ends
+            # where no stored condition has the run's newest steps as
+            # its suffix any more.
+            run = [window.step_at(-i) for i in range(offset, len(window))]
+            depth = 0
+            while depth < len(run) and any(
+                e.condition[::-1][:depth + 1] == tuple(run[:depth + 1])
+                for e in db if len(e.condition) > depth
+            ):
+                depth += 1
+            assert len(found.by_length) == depth
+            for length, table in enumerate(found.by_length, start=1):
+                assert table == {e.prediction: e.entry_id for e in found
+                                 if len(e.condition) == length}
+            assert all(len(e.condition) <= depth for e in found)
+
+
+def test_find_is_exact_on_a_path_only_a_longer_rule_spelled():
+    db = LookupDB()
+    db.add((1, 2, 3), 4, 0.5)
+    assert db.find((2, 3), 4) is None
+    assert db.find((3,), 4) is None
+    assert db.find((1, 2, 3), 2) is None
+    assert db.matching_entries(window_from([2, 3])).by_length == [{}, {}]
+    entry = db.add((2, 3), 4, 0.25)
+    assert db.find((2, 3), 4) is entry
+    assert db.find((1, 2, 3), 4).entry_id == 0
+    found = db.matching_entries(window_from([1, 2, 3]))
+    assert [e.entry_id for e in found] == [0, 1]
+    assert found.by_length == [{}, {4: 1}, {4: 0}]
+
+
+def lookup_state(db, windows):
+    return [
+        ([e.entry_id for e in found], [dict(table) for table in found.by_length])
+        for window in windows
+        for found in (db.matching_entries(window, offset) for offset in range(3))
+    ]
+
+
+@pytest.mark.parametrize("condition,prediction,p", [
+    ((4, 4, 1), 2, 1.5),
+    ((4, 4, 1), 2, -0.5),
+    ((4, 4, 1), 2, True),
+    ((4, 4, 1), -2, 0.5),
+    ((-1, 4, 1), 2, 0.5),
+    ((4, True, 1), 2, 0.5),
+    ((3, 1), 2, 0.5),
+    ((), 2, 0.5),
+])
+def test_rejected_add_leaves_lookups_unchanged(condition, prediction, p):
+    db = LookupDB()
+    db.add((1,), 2, 0.5)
+    db.add((3, 1), 2, 0.5)
+    db.add((4, 4, 4), 3, 0.5)
+    windows = [window_from(steps) for steps in
+               ([4, 4, 4, 1], [2, 3, 1], [1, 4, 4, 1, 2], [4, 4, 4])]
+    before = lookup_state(db, windows)
+    with pytest.raises(ValueError):
+        db.add(condition, prediction, p)
+    assert len(db) == 3
+    assert lookup_state(db, windows) == before
 
 
 # -- context recording ----------------------------------------------------

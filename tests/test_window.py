@@ -14,6 +14,10 @@ def make_window(capacity=4):
     return ObservationWindow(capacity, steps=(1, 2, 3), classifications=(0, 1))
 
 
+def steps_of(observations):
+    return [observation.step for observation in observations]
+
+
 def test_capacity_must_be_at_least_two():
     with pytest.raises(ValueError):
         ObservationWindow(1, steps=(1,))
@@ -64,17 +68,18 @@ def test_empty_window_read_says_the_window_is_empty():
     assert "[0, 0]" not in str(raised.value)
 
 
-def test_newest_steps_are_the_step_at_run_oldest_first():
+def test_newest_first_reads_back_from_the_offset():
     window = make_window(capacity=3)
-    assert window.newest_steps(0) == ()
+    assert steps_of(window.newest_first()) == []
     for step in (1, 2, 3, 1):
         window.push(Observation(step))
-    assert window.newest_steps(3) == (2, 3, 1)
-    assert window.newest_steps(1) == (1,)
+    assert steps_of(window.newest_first()) == [1, 3, 2]
+    assert steps_of(window.newest_first(1)) == [3, 2]
+    assert steps_of(window.newest_first(2)) == [2]
+    assert steps_of(window.newest_first(3)) == []
+    assert steps_of(window.newest_first(4)) == []
     with pytest.raises(WindowRangeError):
-        window.newest_steps(4)
-    with pytest.raises(WindowRangeError):
-        window.newest_steps(-1)
+        window.newest_first(-1)
 
 
 def test_push_rejects_undeclared_step_without_mutating():
@@ -145,5 +150,5 @@ def test_window_always_holds_the_newest_pushes(steps, capacity):
     assert len(window) == len(expected)
     for index, step in enumerate(expected):
         assert window.step_at(-index) == step
-    for count in range(len(expected) + 1):
-        assert window.newest_steps(count) == tuple(expected[:count][::-1])
+    for offset in range(len(expected) + 2):
+        assert steps_of(window.newest_first(offset)) == expected[offset:]
