@@ -23,7 +23,6 @@ from .engine import (
     CONTEXT_UPDATE_SCOPES,
     ENGINE_MODES,
     EXTENSION_DIRECTIONS,
-    EXTENSION_SCOPES,
     Engine,
     PredictorConfig,
 )
@@ -72,9 +71,6 @@ def _add_engine_arguments(
     group.add_argument("--context-update-scope", choices=CONTEXT_UPDATE_SCOPES,
                        default=default.context_update_scope,
                        help="which matched rules get their counters updated")
-    group.add_argument("--extension-scope", choices=EXTENSION_SCOPES,
-                       default=default.extension_scope,
-                       help="which matched rules grow after a correct suggestion")
     group.add_argument("--extension-direction", choices=EXTENSION_DIRECTIONS,
                        default=default.extension_direction,
                        help="grow rules toward the new step or into the past")

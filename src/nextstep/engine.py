@@ -31,7 +31,6 @@ from .window import (
 
 ENGINE_MODES = ("context", "baseline")
 CONTEXT_UPDATE_SCOPES = ("correct-only", "all-matching")
-EXTENSION_SCOPES = ("all-matching", "correct-only")
 EXTENSION_DIRECTIONS = ("append-observation", "extend-into-past")
 
 
@@ -44,7 +43,6 @@ class PredictorConfig:
     window_capacity: int = 10
     engine_mode: str = "context"
     context_update_scope: str = "correct-only"
-    extension_scope: str = "all-matching"
     extension_direction: str = "append-observation"
 
     def __post_init__(self) -> None:
@@ -60,7 +58,6 @@ class PredictorConfig:
         _require_choice(
             "context_update_scope", self.context_update_scope, CONTEXT_UPDATE_SCOPES
         )
-        _require_choice("extension_scope", self.extension_scope, EXTENSION_SCOPES)
         _require_choice(
             "extension_direction", self.extension_direction, EXTENSION_DIRECTIONS
         )
@@ -211,8 +208,7 @@ class Engine:
         gain = 1.0 - alpha
         keys = self._slot_keys
         record_all = self.config.context_update_scope == "all-matching"
-        # lookupdb.update_probability, inline and with the same float
-        # expressions, so every p stays bit-identical.
+        # Reinforce toward 1 on a hit, decay toward 0 on a miss.
         for entry in matches:
             if entry.prediction == step:
                 entry.p = alpha * entry.p + gain
@@ -263,10 +259,11 @@ class Engine:
     def _extend(
         self, matches: Matches, pushed: Matches, step: StepId, inherit_p: float
     ) -> None:
-        """Grow confirmed rules by one step; children start at ``inherit_p``.
+        """Grow every rule in ``matches``, hit or miss, by one step.
 
-        ``matches`` and ``pushed`` hold the rules matching the window
-        before and after the push, and ``step`` is the newest one.
+        Children start at ``inherit_p``.  ``matches`` and ``pushed``
+        hold the rules matching the window before and after the push,
+        and ``step`` is the newest one.
 
         A child is a suffix of the window, after the push when it
         appends the observation and before it when it extends into the
@@ -281,8 +278,6 @@ class Engine:
         append = self.config.extension_direction == "append-observation"
         tables = pushed.by_length if append else matches.by_length
         depth = len(tables)
-        if self.config.extension_scope == "correct-only":
-            matches = [e for e in matches if e.prediction == step]
         limit = len(self.window)
         step_at = self.window.step_at
         add = self.db.add

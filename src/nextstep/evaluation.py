@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .atomicwrite import write_text_atomically
 from .engine import Engine, PredictorConfig
 from .errors import TraceFormatError
-from .window import Observation, StepId
+from .window import Observation, StepId, parse_id
 
 DEFAULT_ROLL_WINDOW = 25
 
@@ -28,12 +28,7 @@ DEFAULT_ROLL_WINDOW = 25
 def parse_record(text: str) -> Observation:
     """One trace line to an observation; raises ValueError on bad syntax."""
     step_text, _, rest = text.strip().partition(" ")
-    try:
-        step = int(step_text)
-    except ValueError:
-        raise ValueError(f"bad step {step_text!r}") from None
-    if step < 0:
-        raise ValueError(f"step {step} must not be negative")
+    step = parse_id(step_text, "step")
     contexts: dict[int, int] = {}
     rest = rest.strip()
     if rest:

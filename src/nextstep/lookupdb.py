@@ -64,13 +64,6 @@ class Entry:
         return self.condition[len(self.condition) - 1 + index]
 
 
-def update_probability(p: float, alpha: float, correct: bool) -> float:
-    """Exponentially reinforce toward 1 on a hit, decay toward 0 on a miss."""
-    if correct:
-        return alpha * p + (1.0 - alpha)
-    return alpha * p
-
-
 def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) -> bool:
     """True iff the condition equals the window's step run ``offset`` ago.
 

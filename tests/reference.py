@@ -35,14 +35,13 @@ class RefEngine:
     """Minimal re-derivation of the predictor, newest-last layout."""
 
     def __init__(self, alpha=0.8, theta=0.5, capacity=10, mode="context",
-                 context_scope="correct-only", extension_scope="all-matching",
-                 direction="append-observation", classifications=()):
+                 context_scope="correct-only", direction="append-observation",
+                 classifications=()):
         self.alpha = alpha
         self.theta = theta
         self.capacity = capacity
         self.mode = mode
         self.context_scope = context_scope
-        self.extension_scope = extension_scope
         self.direction = direction
         self.classifications = sorted(classifications)
         self.win = []          # (step, contexts dict), newest LAST
@@ -146,8 +145,6 @@ class RefEngine:
         return correct
 
     def _extend(self, matched, prior):
-        if self.extension_scope == "correct-only":
-            matched = [e for e in matched if e["pred"] == self._step_at(0)]
         donors = [(i, e) for i, e in enumerate(self.entries[:prior])
                   if e["p"] > 0.0 and self._matches(e)]
         if donors:

@@ -16,10 +16,10 @@ import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig, read_snapshot
 from nextstep.cli import main
 from nextstep.evaluation import metrics_to_csv, run_trace
-from nextstep.lookupdb import dump_snapshot, update_probability
+from nextstep.lookupdb import dump_snapshot
 from nextstep.scenarios import generate_trace
 from .reference import brute_match, closed_form_correct, closed_form_incorrect
-from .test_lookupdb import random_match_cases, window_from
+from .test_lookupdb import learned_p, random_match_cases, window_from
 
 
 def verdict(capsys, name, ok, detail):
@@ -33,10 +33,8 @@ def test_criterion_1_probability_closed_forms(capsys):
     for alpha in (0.5, 0.8, 0.95):
         for p0 in (0.0, 0.2, 1.0):
             for k in (1, 5, 20):
-                up = down = p0
-                for _ in range(k):
-                    up = update_probability(up, alpha, True)
-                    down = update_probability(down, alpha, False)
+                up = learned_p(p0, alpha, k, hit=True)
+                down = learned_p(p0, alpha, k, hit=False)
                 worst = max(worst,
                             abs(up - closed_form_correct(p0, alpha, k)),
                             abs(down - closed_form_incorrect(p0, alpha, k)))

@@ -16,8 +16,7 @@ from nextstep.cli import main
 def config_line(mode="context", alpha="0.8"):
     return (
         f"config: alpha={alpha} theta=0.5 window_capacity=10 engine_mode={mode}"
-        " context_update_scope=correct-only extension_scope=all-matching"
-        " extension_direction=append-observation"
+        " context_update_scope=correct-only extension_direction=append-observation"
     )
 
 
@@ -138,14 +137,23 @@ def test_run_echoes_the_effective_config(capsys, tmp_path):
         capsys, "run", str(trace), "--engine", "baseline", "--alpha", "0.7",
         "--theta", "0.25", "--window-capacity", "6",
         "--context-update-scope", "all-matching",
-        "--extension-scope", "correct-only",
         "--extension-direction", "extend-into-past",
     )
     assert err.splitlines()[0] == (
         "config: alpha=0.7 theta=0.25 window_capacity=6 engine_mode=baseline"
-        " context_update_scope=all-matching extension_scope=correct-only"
-        " extension_direction=extend-into-past"
+        " context_update_scope=all-matching extension_direction=extend-into-past"
     )
+
+
+def test_run_has_no_extension_scope_flag(capsys, tmp_path):
+    # Every matched rule grows after a correct suggestion; no flag
+    # narrows that to the rules that predicted the step.
+    trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "1")
+    code, out, err = run_cli(capsys, "run", str(trace),
+                             "--extension-scope", "all-matching")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --extension-scope all-matching" in err
 
 
 def test_run_help_shows_the_config_defaults(capsys):

@@ -57,7 +57,6 @@ def feed(engine, steps, contexts=None):
     dict(window_capacity=1), dict(window_capacity=2.5),
     dict(engine_mode="magic"),
     dict(context_update_scope="sometimes"),
-    dict(extension_scope="never"),
     dict(extension_direction="sideways"),
 ])
 def test_config_rejects_bad_values(bad):
@@ -70,7 +69,6 @@ def test_config_defaults():
     assert (config.alpha, config.theta, config.window_capacity) == (0.8, 0.5, 10)
     assert config.engine_mode == "context"
     assert config.context_update_scope == "correct-only"
-    assert config.extension_scope == "all-matching"
     assert config.extension_direction == "append-observation"
 
 
@@ -499,16 +497,6 @@ def test_wrong_but_matching_rules_also_spawn_children_by_default():
     assert engine.db.find((3, 2), 4) is not None
 
 
-def test_correct_only_scope_extends_only_the_hits():
-    engine = make_engine(extension_scope="correct-only")
-    feed(engine, [2, 3, 2, 3])
-    engine.db.add((3,), 4, 0.1)
-    engine.predict()
-    engine.learn(Observation(2))
-    assert engine.db.find((3, 2), 4) is None
-    assert engine.db.find((3, 2), 2) is not None
-
-
 def test_extension_skips_existing_children():
     engine = make_engine(steps=(2, 3), classifications=())
     feed(engine, [2, 3, 2, 3, 2, 3, 2, 3])
@@ -535,15 +523,14 @@ def test_into_past_child_prepends_the_older_step():
     assert engine.db.find((2, 3), 3) is None
 
 
-@pytest.mark.parametrize("ext_scope", ["all-matching", "correct-only"])
 @pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
-def test_child_condition_taken_by_another_prediction_still_grows(ext_scope, direction):
+def test_child_condition_taken_by_another_prediction_still_grows(direction):
     # After 2 3 2 the rule (2,)->3 predicts 3, and observing 3 extends
     # it.  Its child's condition is already stored predicting 4, so a
     # child looked up by length alone would be skipped.
     child = (2, 3) if direction == "append-observation" else (3, 2)
-    engine = make_engine(extension_scope=ext_scope, extension_direction=direction)
-    shadow = make_shadow(extension_scope=ext_scope, direction=direction)
+    engine = make_engine(extension_direction=direction)
+    shadow = make_shadow(direction=direction)
 
     def add_rival(t):
         if t == 3:
@@ -700,27 +687,24 @@ SHADOW_CASES = [
     for combo in itertools.product(
         ("context", "baseline"),
         ("correct-only", "all-matching"),
-        ("all-matching", "correct-only"),
         ("append-observation", "extend-into-past"),
     )
 ]
 
 
-@pytest.mark.parametrize("mode,scope,ext_scope,direction,capacity", SHADOW_CASES)
-def test_engine_agrees_with_shadow_reimplementation(mode, scope, ext_scope, direction,
-                                                    capacity):
+@pytest.mark.parametrize("mode,scope,direction,capacity", SHADOW_CASES)
+def test_engine_agrees_with_shadow_reimplementation(mode, scope, direction, capacity):
     for seed in (11, 12, 13):
         rng = random.Random(seed)
         config = PredictorConfig(
             engine_mode=mode,
             context_update_scope=scope,
-            extension_scope=ext_scope,
             extension_direction=direction,
             window_capacity=capacity,
         )
         engine = Engine(config, steps=(1, 2, 3, 4), classifications=(0, 1))
         shadow = make_shadow(capacity, mode=mode, context_scope=scope,
-                             extension_scope=ext_scope, direction=direction)
+                             direction=direction)
         run_lockstep(engine, shadow, random_events(rng, 140))
 
 

@@ -51,6 +51,18 @@ def test_bad_records_are_rejected(bad):
         parse_record(bad)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("x", "bad step 'x'"),
+    ("", "bad step ''"),
+    ("1.5 0=2", "bad step '1.5'"),
+    ("-1", "step -1 must not be negative"),
+])
+def test_bad_step_messages(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        parse_record(text)
+    assert str(excinfo.value) == message
+
+
 def test_parse_trace_skips_blanks_and_comments():
     trace = parse_trace(["# header", "", "1 0=2", "  ", "2"])
     assert [(o.step, dict(o.contexts)) for o in trace] == [(1, {0: 2}), (2, {})]

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from nextstep import Observation
+from nextstep import Engine, Observation, PredictorConfig
 from nextstep.errors import WindowRangeError
 from nextstep.lookupdb import (
     ContextSlot,
@@ -17,7 +17,6 @@ from nextstep.lookupdb import (
     parse_snapshot,
     record_contexts,
     slot_keys,
-    update_probability,
 )
 from nextstep.window import ObservationWindow
 from .reference import brute_match, closed_form_correct, closed_form_incorrect
@@ -33,29 +32,42 @@ def window_from(steps, universe=(1, 2, 3, 4), capacity=10):
 # -- probability update ------------------------------------------------
 
 
+def learned_p(p0, alpha, k, hit):
+    """p of a hand-made rule (3,)->1 after Engine.learn fed it k hits
+    (3, 1, 3, 1, ...) or k misses (3, 2, 3, 2, ...).
+
+    No predict() runs, so nothing extends and only the learn() update
+    moves the rule's p.
+    """
+    engine = Engine(PredictorConfig(alpha=alpha), steps=(1, 2, 3))
+    entry = engine.db.add((3,), 1, p0)
+    for _ in range(k):
+        engine.learn(Observation(3))
+        engine.learn(Observation(1 if hit else 2))
+    return entry.p
+
+
 def test_update_moves_toward_one_on_correct():
-    assert update_probability(0.5, 0.8, True) == pytest.approx(0.6)
+    assert learned_p(0.5, 0.8, 1, hit=True) == pytest.approx(0.6)
 
 
 def test_update_decays_on_incorrect():
-    assert update_probability(0.5, 0.8, False) == pytest.approx(0.4)
+    assert learned_p(0.5, 0.8, 1, hit=False) == pytest.approx(0.4)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.01, max_value=0.99))
 def test_update_stays_in_unit_interval(p, alpha):
-    assert 0.0 <= update_probability(p, alpha, True) <= 1.0
-    assert 0.0 <= update_probability(p, alpha, False) <= 1.0
+    assert 0.0 <= learned_p(p, alpha, 1, hit=True) <= 1.0
+    assert 0.0 <= learned_p(p, alpha, 1, hit=False) <= 1.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),
        st.floats(min_value=0.01, max_value=0.99),
        st.integers(min_value=1, max_value=30))
 def test_update_iterates_to_the_closed_forms(p0, alpha, k):
-    up = down = p0
-    for _ in range(k):
-        up = update_probability(up, alpha, True)
-        down = update_probability(down, alpha, False)
+    up = learned_p(p0, alpha, k, hit=True)
+    down = learned_p(p0, alpha, k, hit=False)
     assert up == pytest.approx(closed_form_correct(p0, alpha, k), abs=1e-12)
     assert down == pytest.approx(closed_form_incorrect(p0, alpha, k), abs=1e-12)
 

@@ -9,12 +9,15 @@ further lines.
 
 from __future__ import annotations
 
+import argparse
 import io
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
-from nextstep.cli import main
+from nextstep import PredictorConfig
+from nextstep.cli import _add_engine_arguments, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -87,3 +90,22 @@ def test_walkthrough_accuracy_claim_matches_the_csvs(capsys, monkeypatch, tmp_pa
     for mode, claimed in zip(("context", "baseline"), claim.groups()):
         last = Path(f"mixrun_{mode}.csv").read_text(encoding="utf-8").splitlines()[-1]
         assert f"{float(last.split(',')[5]):.3f}" == claimed, mode
+
+
+def test_configuration_table_lists_every_config_field():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    parser = argparse.ArgumentParser()
+    _add_engine_arguments(parser, with_engine_flag=True)
+    dest_of = {flag: action.dest for action in parser._actions
+               for flag in action.option_strings}
+    config_fields = fields(PredictorConfig)
+    assert [row[0] for row in rows] == [field.name for field in config_fields]
+    for (name, flag, default, _), field in zip(rows, config_fields):
+        assert dest_of.get(flag) == name, flag
+        assert default == str(field.default), name
