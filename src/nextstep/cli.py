@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .atomicwrite import write_text_atomically
 from .engine import (
-    CONTEXT_UPDATE_SCOPES,
     ENGINE_MODES,
     EXTENSION_DIRECTIONS,
     Engine,
@@ -68,9 +67,6 @@ def _add_engine_arguments(
         group.add_argument("--engine", choices=ENGINE_MODES, dest="engine_mode",
                            default=default.engine_mode,
                            help="score with or without context weights")
-    group.add_argument("--context-update-scope", choices=CONTEXT_UPDATE_SCOPES,
-                       default=default.context_update_scope,
-                       help="which matched rules get their counters updated")
     group.add_argument("--extension-direction", choices=EXTENSION_DIRECTIONS,
                        default=default.extension_direction,
                        help="grow rules toward the new step or into the past")

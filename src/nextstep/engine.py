@@ -3,8 +3,8 @@
 The engine keeps a sliding window of recent observations and a rule
 database.  predict() suggests the best-scoring rule whose condition
 matches the window's newest steps; learn() pushes the next observation
-and then reinforces, decays, counts contexts into, and extends the rules
-that matched one step earlier.
+and then reinforces or decays the rules that matched one step earlier,
+counts contexts only under those that predicted the step, and extends them.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .lookupdb import (
     Entry,
     LookupDB,
     Matches,
+    SlotKey,
+    SlotKeys,
     context_fit,
     record_contexts,
     slot_keys,
@@ -30,7 +32,6 @@ from .window import (
 )
 
 ENGINE_MODES = ("context", "baseline")
-CONTEXT_UPDATE_SCOPES = ("correct-only", "all-matching")
 EXTENSION_DIRECTIONS = ("append-observation", "extend-into-past")
 
 
@@ -42,7 +43,6 @@ class PredictorConfig:
     theta: float = 0.5
     window_capacity: int = 10
     engine_mode: str = "context"
-    context_update_scope: str = "correct-only"
     extension_direction: str = "append-observation"
 
     def __post_init__(self) -> None:
@@ -55,9 +55,6 @@ class PredictorConfig:
                 f"window capacity must be an int >= 2, got {self.window_capacity!r}"
             )
         _require_choice("engine_mode", self.engine_mode, ENGINE_MODES)
-        _require_choice(
-            "context_update_scope", self.context_update_scope, CONTEXT_UPDATE_SCOPES
-        )
         _require_choice(
             "extension_direction", self.extension_direction, EXTENSION_DIRECTIONS
         )
@@ -121,9 +118,10 @@ class Engine:
                         f"entry {entry.entry_id} uses classification {cc!r}, "
                         "which is not declared"
                     )
-        # Built once: every rule's counters reuse these keys, and their
-        # sorted order keeps evidence order stable.
-        self._slot_keys = slot_keys(self.classifications, self.config.window_capacity)
+        # Grown by _keys() as the window fills: every rule's counters
+        # reuse these keys, and their sorted order keeps evidence order
+        # stable.
+        self._slot_keys: list[tuple[tuple[ClassificationId, SlotKey], ...]] = []
         self._last_prediction: StepId | None = None
         # The last lookup's matches and the state they belong to: the
         # db, its size, the window and its push count.  LookupDB and
@@ -145,6 +143,13 @@ class Engine:
             self._matches_memo = self.db.matching_entries(self.window)
         return self._matches_memo
 
+    def _keys(self) -> SlotKeys:
+        """slot_keys() for the positions the window holds, grown per push."""
+        keys = self._slot_keys
+        if len(keys) < len(self.window):
+            keys.extend(slot_keys(self.classifications, len(self.window), len(keys)))
+        return keys
+
     def predict(self) -> PredictionResult | None:
         """Suggest the next step, or None when no rule matches.
 
@@ -159,6 +164,7 @@ class Engine:
         matches = self._matches()
         scoring = self.config.engine_mode == "context"
         table = self.window.context_table() if scoring else None
+        keys = self._keys() if scoring else None
         best: Entry | None = None
         best_key: tuple[float, int, float, int] | None = None
         best_actual_p = 0.0
@@ -167,7 +173,7 @@ class Engine:
                 break
             if scoring:
                 fit = relevance_mean(
-                    context_fit(entry, table, self._slot_keys, self.config.theta)
+                    context_fit(entry, table, keys, self.config.theta)
                 )
             else:
                 fit = 1.0
@@ -192,12 +198,14 @@ class Engine:
         context table and newest step, push the observation, score the
         open prediction, update every rule taken before the push, take
         the rules matching the window after it and the p children
-        inherit, store the fresh length-1 rule, then extend.  Every rule
-        counts its contexts from that table, the span it matched.
+        inherit, store the fresh length-1 rule, then extend.  Only a rule
+        that predicted the step counts contexts, from that table, the
+        span it matched; a rule that missed counts nothing.
         """
         window = self.window
         matches = self._matches()
         table = window.context_table()
+        keys = self._keys()
         previous = window.step_at(0) if table else None
         window.push(observation)
         step = observation.step
@@ -206,17 +214,13 @@ class Engine:
             correct = self._last_prediction == step
         alpha = self.config.alpha
         gain = 1.0 - alpha
-        keys = self._slot_keys
-        record_all = self.config.context_update_scope == "all-matching"
-        # Reinforce toward 1 on a hit, decay toward 0 on a miss.
+        # A hit reinforces toward 1 and counts contexts; a miss decays toward 0.
         for entry in matches:
             if entry.prediction == step:
                 entry.p = alpha * entry.p + gain
                 record_contexts(entry, table, keys)
             else:
                 entry.p = alpha * entry.p
-                if record_all:
-                    record_contexts(entry, table, keys)
         if correct:
             # Taken before any rule is stored: the pushed tables are
             # live, and the fresh pair rule lands on their path when

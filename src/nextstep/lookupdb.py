@@ -88,16 +88,16 @@ def _table_too_short(length: int, rows: int) -> WindowRangeError:
 
 
 def slot_keys(
-    classifications: Iterable[ClassificationId], capacity: int
+    classifications: Iterable[ClassificationId], stop: int, start: int = 0
 ) -> tuple[tuple[tuple[ClassificationId, SlotKey], ...], ...]:
-    """Slot keys for every window position, built once per engine.
+    """Slot keys for window positions ``start`` up to ``stop``.
 
-    ``keys[pos]`` holds ``(cc, (cc, -pos))`` for every classification in
-    ascending order, for ``pos`` in ``range(capacity)``: the counters of
-    the condition element ``pos`` positions before the newest one.
+    Each item holds ``(cc, (cc, -pos))`` for every classification in
+    ascending order, for ``pos`` in ``range(start, stop)``: the counters
+    of the condition element ``pos`` positions before the newest one.
     """
     order = sorted(classifications)
-    return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(capacity))
+    return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(start, stop))
 
 
 def context_fit(

@@ -35,13 +35,12 @@ class RefEngine:
     """Minimal re-derivation of the predictor, newest-last layout."""
 
     def __init__(self, alpha=0.8, theta=0.5, capacity=10, mode="context",
-                 context_scope="correct-only", direction="append-observation",
+                 direction="append-observation",
                  classifications=()):
         self.alpha = alpha
         self.theta = theta
         self.capacity = capacity
         self.mode = mode
-        self.context_scope = context_scope
         self.direction = direction
         self.classifications = sorted(classifications)
         self.win = []          # (step, contexts dict), newest LAST
@@ -126,7 +125,7 @@ class RefEngine:
             hit = entry["pred"] == step
             entry["p"] = (self.alpha * entry["p"] + (1.0 - self.alpha)
                           if hit else self.alpha * entry["p"])
-            if hit or self.context_scope == "all-matching":
+            if hit:
                 self._record(entry)
         if self.win:
             cond = (self._step_at(0),)

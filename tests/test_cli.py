@@ -16,7 +16,7 @@ from nextstep.cli import main
 def config_line(mode="context", alpha="0.8"):
     return (
         f"config: alpha={alpha} theta=0.5 window_capacity=10 engine_mode={mode}"
-        " context_update_scope=correct-only extension_direction=append-observation"
+        " extension_direction=append-observation"
     )
 
 
@@ -136,24 +136,24 @@ def test_run_echoes_the_effective_config(capsys, tmp_path):
     _, _, err = run_cli(
         capsys, "run", str(trace), "--engine", "baseline", "--alpha", "0.7",
         "--theta", "0.25", "--window-capacity", "6",
-        "--context-update-scope", "all-matching",
         "--extension-direction", "extend-into-past",
     )
     assert err.splitlines()[0] == (
         "config: alpha=0.7 theta=0.25 window_capacity=6 engine_mode=baseline"
-        " context_update_scope=all-matching extension_direction=extend-into-past"
+        " extension_direction=extend-into-past"
     )
 
 
-def test_run_has_no_extension_scope_flag(capsys, tmp_path):
-    # Every matched rule grows after a correct suggestion; no flag
-    # narrows that to the rules that predicted the step.
+@pytest.mark.parametrize("flag", ["--extension-scope", "--context-update-scope"])
+def test_run_has_no_scope_flags(capsys, tmp_path, flag):
+    # Every matched rule grows after a correct suggestion, and only the
+    # rules that predicted the step count contexts; no flag widens or
+    # narrows either set.
     trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "1")
-    code, out, err = run_cli(capsys, "run", str(trace),
-                             "--extension-scope", "all-matching")
+    code, out, err = run_cli(capsys, "run", str(trace), flag, "all-matching")
     assert code == 1
     assert out == ""
-    assert "unrecognized arguments: --extension-scope all-matching" in err
+    assert f"unrecognized arguments: {flag} all-matching" in err
 
 
 def test_run_help_shows_the_config_defaults(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -56,7 +57,6 @@ def feed(engine, steps, contexts=None):
     dict(theta=-0.1), dict(theta=1.0),
     dict(window_capacity=1), dict(window_capacity=2.5),
     dict(engine_mode="magic"),
-    dict(context_update_scope="sometimes"),
     dict(extension_direction="sideways"),
 ])
 def test_config_rejects_bad_values(bad):
@@ -68,8 +68,21 @@ def test_config_defaults():
     config = PredictorConfig()
     assert (config.alpha, config.theta, config.window_capacity) == (0.8, 0.5, 10)
     assert config.engine_mode == "context"
-    assert config.context_update_scope == "correct-only"
     assert config.extension_direction == "append-observation"
+
+
+def test_a_large_window_capacity_costs_nothing_at_construction():
+    # Slot keys are built as pushes lengthen the window, not for every
+    # position of the capacity before the first step.
+    tracemalloc.start()
+    try:
+        engine = make_engine(window_capacity=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert feed(engine, [1, 2, 1, 2], [{0: 1}, {1: 2}, {0: 1}, {1: 2}]) == [
+        None, None, None, 2]
 
 
 @pytest.mark.parametrize("condition,prediction", [((1,), 9), ((9, 1), 2)])
@@ -434,7 +447,7 @@ def test_wrong_prediction_is_reported_and_decays_p():
     assert engine.db.find((2,), 3).p == ALPHA * Q
 
 
-def test_context_updates_only_on_hits_by_default():
+def test_context_updates_only_on_hits():
     engine = make_engine()
     engine.learn(Observation(1, {0: 5}))
     engine.learn(Observation(2, {0: 5}))
@@ -445,15 +458,6 @@ def test_context_updates_only_on_hits_by_default():
     assert wrong.slots == {}
     # the freshly added pair rule counted its creation event only
     assert right.slots[(0, 0)].per_context == {5: 1}
-
-
-def test_all_matching_scope_counts_misses_too():
-    engine = make_engine(context_update_scope="all-matching")
-    engine.learn(Observation(1, {0: 5}))
-    engine.learn(Observation(2, {0: 6}))
-    wrong = engine.db.add((2,), 4, 0.5)
-    engine.learn(Observation(1, {0: 5}))
-    assert wrong.slots[(0, 0)].per_context == {6: 1}
 
 
 # -- extension ----------------------------------------------------------------
@@ -654,8 +658,9 @@ def random_events(rng, count, classifications=(0, 1)):
     return events
 
 
-def make_shadow(capacity=10, classifications=(0, 1), **overrides):
-    return RefEngine(alpha=0.8, theta=0.5, capacity=capacity,
+def make_shadow(capacity=10, classifications=(0, 1), alpha=0.8, theta=0.5,
+                **overrides):
+    return RefEngine(alpha=alpha, theta=theta, capacity=capacity,
                      classifications=classifications, **overrides)
 
 
@@ -678,32 +683,42 @@ def run_lockstep(engine, shadow, events, between=None, skip_predict=()):
     assert engine_state(engine) == shadow.state()
 
 
+SHADOW_COMBOS = list(itertools.product(
+    ("context", "baseline"),
+    ("append-observation", "extend-into-past"),
+))
+
+# Every combination at three window capacities with the default alpha
+# and theta, then at capacity 5 with a faster decay and a lower
+# relevance threshold.
 SHADOW_CASES = [
     pytest.param(
-        *combo, capacity,
+        *combo, capacity, 0.8, 0.5,
         id="-".join(combo) + ("" if capacity == 5 else f"-capacity{capacity}"),
     )
-    for capacity in (5, 2)
-    for combo in itertools.product(
-        ("context", "baseline"),
-        ("correct-only", "all-matching"),
-        ("append-observation", "extend-into-past"),
-    )
+    for capacity in (5, 3, 2)
+    for combo in SHADOW_COMBOS
+] + [
+    pytest.param(*combo, 5, 0.6, 0.25,
+                 id="-".join(combo) + "-alpha0.6-theta0.25")
+    for combo in SHADOW_COMBOS
 ]
 
 
-@pytest.mark.parametrize("mode,scope,direction,capacity", SHADOW_CASES)
-def test_engine_agrees_with_shadow_reimplementation(mode, scope, direction, capacity):
+@pytest.mark.parametrize("mode,direction,capacity,alpha,theta", SHADOW_CASES)
+def test_engine_agrees_with_shadow_reimplementation(mode, direction, capacity,
+                                                    alpha, theta):
     for seed in (11, 12, 13):
         rng = random.Random(seed)
         config = PredictorConfig(
+            alpha=alpha,
+            theta=theta,
             engine_mode=mode,
-            context_update_scope=scope,
             extension_direction=direction,
             window_capacity=capacity,
         )
         engine = Engine(config, steps=(1, 2, 3, 4), classifications=(0, 1))
-        shadow = make_shadow(capacity, mode=mode, context_scope=scope,
+        shadow = make_shadow(capacity, alpha=alpha, theta=theta, mode=mode,
                              direction=direction)
         run_lockstep(engine, shadow, random_events(rng, 140))
 
