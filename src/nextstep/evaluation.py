@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .atomicwrite import write_text_atomically
 from .engine import Engine, PredictorConfig
-from .errors import TraceFormatError
+from .errors import TraceFormatError, read_utf8
 from .window import Observation, StepId, parse_id
 
 DEFAULT_ROLL_WINDOW = 25
@@ -73,8 +73,8 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
 
 
 def read_trace(path: str) -> list[Observation]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle)
+    """parse_trace of a UTF-8 file; a byte that is not UTF-8 is a format error."""
+    return read_utf8(path, parse_trace, TraceFormatError)
 
 
 def dump_trace(observations: Iterable[Observation]) -> str:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
-from .errors import SnapshotFormatError, WindowRangeError
+from .errors import SnapshotFormatError, WindowRangeError, read_utf8
 from .window import ClassificationId, ContextId, ObservationWindow, StepId, parse_id
 
 SNAPSHOT_MAGIC = "LOOKUPDB"
@@ -316,10 +316,12 @@ def write_snapshot(db: LookupDB, alpha: float, theta: float, path: str) -> None:
 
 
 def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
-    """Parse a snapshot, validating every structural invariant.
+    """Parse a snapshot line by line, validating every structural invariant.
 
-    Returns the database plus the alpha and theta it was written with.
-    Raises SnapshotFormatError with the offending 1-based line number.
+    Blank lines, ``#`` comment lines, any whitespace between fields and
+    ``\\r\\n`` line ends are accepted.  Returns the database plus the
+    alpha and theta it was written with.  Raises SnapshotFormatError
+    with the offending 1-based line number.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -327,22 +329,22 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     alpha: float | None = None
     theta = 0.0
     current: Entry | None = None
+    keys: dict[SlotKey, SlotKey] = {}  # one shared tuple per distinct slot key
     for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
+        tag = tokens[0]
         try:
-            if alpha is None:
+            # Slot lines are most of a snapshot: test their tag first.
+            if tag == "S" and alpha is not None:
+                _parse_slot(tokens, current, keys)
+            elif alpha is None:
                 alpha, theta = _parse_header(tokens)
-            elif tokens[0] == "E":
+            elif tag == "E":
                 current = _parse_entry(tokens, db)
-            elif tokens[0] == "S":
-                if current is None:
-                    raise ValueError("slot line before any entry line")
-                _parse_slot(tokens, current)
             else:
-                raise ValueError(f"unknown line tag {tokens[0]!r}")
+                raise ValueError(f"unknown line tag {tag!r}")
         except ValueError as exc:
             raise SnapshotFormatError(line_no, str(exc)) from None
     if alpha is None:
@@ -351,8 +353,8 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
 
 
 def read_snapshot(path: str) -> tuple[LookupDB, float, float]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_snapshot(handle)
+    """parse_snapshot of a UTF-8 file; a byte that is not UTF-8 is a format error."""
+    return read_utf8(path, parse_snapshot, SnapshotFormatError)
 
 
 def _parse_header(tokens: list[str]) -> tuple[float, float]:
@@ -376,47 +378,70 @@ def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
     entry_id = parse_id(tokens[1], "entry id")
     if entry_id != len(db):
         raise ValueError(f"entry id {entry_id} out of order, expected {len(db)}")
-    cond_text = _strip_prefix(tokens[2], "cond=")
+    cond_text = _field_value(tokens[2], "cond")
     try:
         condition = tuple(map(int, cond_text.split(",")))
     except ValueError:
         raise ValueError(f"bad condition {cond_text!r}") from None
-    prediction = parse_id(_strip_prefix(tokens[3], "pred="), "prediction")
+    prediction = parse_id(_field_value(tokens[3], "pred"), "prediction")
     # db.add rejects a negative step, a p outside [0, 1] and a repeated pair.
     return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
 
 
-def _parse_slot(tokens: list[str], entry: Entry) -> None:
+def _parse_slot(tokens: list[str], entry: Entry | None, keys: dict[SlotKey, SlotKey]) -> None:
+    if entry is None:
+        raise ValueError("slot line before any entry line")
     if len(tokens) < 4:
         raise ValueError("slot line needs: S <cc> <index> total=<n> ctx:count...")
     cc = parse_id(tokens[1], "classification id")
     index = _parse_signed_int(tokens[2], "condition index")
     if not 1 - len(entry.condition) <= index <= 0:
         raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
-    if (cc, index) in entry.slots:
+    key = (cc, index)
+    key = keys.setdefault(key, key)
+    if key in entry.slots:
         raise ValueError(f"duplicate slot for classification {cc} index {index}")
-    total = parse_id(_strip_prefix(tokens[3], "total="), "total")
+    total = parse_id(_field_value(tokens[3], "total"), "total")
     if total < 1:
         raise ValueError(f"slot total {total} must be positive")
     per_context: dict[int, int] = {}
-    for token in tokens[4:]:
+    summed = 0
+    try:
+        for token in tokens[4:]:
+            ctx_text, _, count_text = token.partition(":")
+            ctx = int(ctx_text)
+            count = int(count_text)
+            if ctx < 0 or count < 1 or ctx in per_context:
+                raise ValueError
+            per_context[ctx] = count
+            summed += count
+    except ValueError:
+        _raise_pair_error(tokens[4:])
+    if summed != total:
+        raise ValueError(f"context counts sum to {summed}, total says {total}")
+    entry.slots[key] = ContextSlot(total, per_context)
+
+
+def _raise_pair_error(tokens: list[str]) -> NoReturn:
+    """Raise the error of the first bad ``ctx:count`` token, checked one by one."""
+    seen: set[int] = set()
+    for token in tokens:
         ctx_text, _, count_text = token.partition(":")
         ctx = parse_id(ctx_text, "context id")
         count = parse_id(count_text, "context count")
         if count < 1:
             raise ValueError(f"context count {count} must be positive")
-        if ctx in per_context:
+        if ctx in seen:
             raise ValueError(f"duplicate context {ctx} in slot")
-        per_context[ctx] = count
-    if sum(per_context.values()) != total:
-        raise ValueError(f"context counts sum to {sum(per_context.values())}, total says {total}")
-    entry.slots[(cc, index)] = ContextSlot(total, per_context)
+        seen.add(ctx)
+    raise AssertionError(f"no bad pair among {tokens!r}")
 
 
-def _strip_prefix(token: str, prefix: str) -> str:
-    if not token.startswith(prefix) or len(token) == len(prefix):
-        raise ValueError(f"expected {prefix}<value>, got {token!r}")
-    return token[len(prefix):]
+def _field_value(token: str, name: str) -> str:
+    key, _, value = token.partition("=")
+    if key != name or not value:
+        raise ValueError(f"expected {name}=<value>, got {token!r}")
+    return value
 
 
 def _parse_signed_int(text: str, what: str) -> int:
@@ -427,7 +452,7 @@ def _parse_signed_int(text: str, what: str) -> int:
 
 
 def _parse_float_field(token: str, name: str) -> float:
-    text = _strip_prefix(token, f"{name}=")
+    text = _field_value(token, name)
     try:
         return float(text)
     except ValueError:

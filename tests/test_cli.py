@@ -184,6 +184,14 @@ def test_run_malformed_trace_reports_the_line(capsys, tmp_path):
     assert "line 2:" in err
 
 
+def test_run_undecodable_trace_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 0=2\n2\n\xff3\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: line 3: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 @pytest.mark.parametrize("text", ["", "# no records\n\n"], ids=["empty", "comments"])
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_trace_without_records_is_a_data_error(capsys, tmp_path, command, text):
@@ -291,6 +299,20 @@ def test_db_inspect_bad_snapshot_is_a_data_error(capsys, tmp_path):
     assert "line 1:" in err
 
 
+UNDECODABLE_SNAPSHOT = (
+    b"LOOKUPDB v1 alpha=0.8 theta=0.5\nE 0 cond=1 pred=2 p=0.5\nS 0 0 total=1 5:1\xff\n"
+)
+UNDECODABLE_ERROR = "error: line 3: byte 0xff is not UTF-8 (invalid start byte)"
+
+
+def test_db_inspect_undecodable_snapshot_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "bad.db"
+    path.write_bytes(UNDECODABLE_SNAPSHOT)
+    code, out, err = run_cli(capsys, "db-inspect", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [UNDECODABLE_ERROR]
+
+
 def test_db_inspect_order_is_stable_under_reload(capsys, tmp_path):
     db = LookupDB()
     db.add((2,), 3, 0.4)
@@ -368,6 +390,19 @@ def test_repl_load_meta_command_swaps_the_database(capsys, monkeypatch, tmp_path
     assert code == 0
     lines = out.splitlines()
     assert any(line.startswith(f"loaded {path}") for line in lines)
+    assert lines[-1].startswith("suggestion: step=3")
+
+
+def test_repl_load_command_with_an_undecodable_snapshot_keeps_the_engine(
+    capsys, monkeypatch, tmp_path
+):
+    path = tmp_path / "bad.db"
+    path.write_bytes(UNDECODABLE_SNAPSHOT)
+    code, out, _ = repl(capsys, monkeypatch, f"2\n3\n2\n3\n:load {path}\n2\n:quit\n")
+    assert code == 0
+    lines = out.splitlines()
+    assert UNDECODABLE_ERROR in lines
+    assert not any(line.startswith("loaded ") for line in lines)
     assert lines[-1].startswith("suggestion: step=3")
 
 

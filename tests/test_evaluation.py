@@ -85,6 +85,16 @@ def test_trace_file_round_trip(tmp_path):
     assert dump_trace(again) == dump_trace(trace)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_undecodable_trace_byte_names_its_line(tmp_path, end):
+    """Lines end as the text reader ends them, also past its first chunk."""
+    path = tmp_path / "trace.txt"
+    path.write_bytes((end * 3000 + f"1{end}2 0=1{end}").encode() + b"3 0=\xe9" + end.encode())
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(path)
+    assert str(excinfo.value) == "line 3003: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+
+
 def test_derive_universes():
     trace = [Observation(2, {0: 5}), Observation(4, {1: 0})]
     steps, classifications = derive_universes(trace)

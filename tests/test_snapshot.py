@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 import nextstep.lookupdb
-from nextstep import read_snapshot, write_snapshot
+from nextstep import Observation, PredictorConfig, read_snapshot, run_trace, write_snapshot
 from nextstep.errors import SnapshotFormatError
 from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
+from nextstep.scenarios import generate_trace
 
 
 def small_db():
@@ -178,6 +179,15 @@ BAD_SNAPSHOTS = [
     (HEADER + ENTRY + "S 0 0 total=2 5:1 5:1\n", 3, "duplicate context 5 in slot"),
     (HEADER + ENTRY + "S 0 0\n", 3,
      "slot line needs: S <cc> <index> total=<n> ctx:count..."),
+    (HEADER + ENTRY + "S 0 0 total=1 -5:1\n", 3, "context id -5 must not be negative"),
+    (HEADER + ENTRY + "S 0 0 total=1 5\n", 3, "bad context count ''"),
+    (HEADER + ENTRY + "S 0 0 total=1 5:1:1\n", 3, "bad context count '1:1'"),
+    (HEADER + ENTRY + "S 0 0 total=1 :1\n", 3, "bad context id ''"),
+    (HEADER + ENTRY + "S 0 0 total=\n", 3, "expected total=<value>, got 'total='"),
+    (HEADER + ENTRY + "S 0 0 total==1 5:1\n", 3, "bad total '=1'"),
+    # The first bad pair names the error, not a later one.
+    (HEADER + ENTRY + "S 0 0 total=2 5:1 5:1 x:1\n", 3, "duplicate context 5 in slot"),
+    (HEADER + ENTRY + "S 0 0 total=2 5:0 x:1\n", 3, "context count 0 must be positive"),
 ]
 
 
@@ -200,3 +210,86 @@ def test_malformed_snapshots_report_the_line(text, line_no, message):
         parse_snapshot(text)
     assert str(excinfo.value) == f"line {line_no}: {message}"
     assert excinfo.value.line_no == line_no
+
+
+def tolerated(blank):
+    """A hand-edited snapshot: no line of it is in canonical form."""
+    return (
+        " LOOKUPDB v1 alpha=0.8 theta=0.5\r\n"
+        "# edited by hand\r\n"
+        f"{blank}"
+        "E 0  cond=1,2\tpred=3   p=0.5\r\n"
+        "S 0 -1 total=2 4:1  5:1 \r\n"
+    )
+
+
+def parse_from(kind, text, tmp_path):
+    if kind == "str":
+        return parse_snapshot(text)
+    if kind == "stringio":
+        return parse_snapshot(io.StringIO(text))
+    path = tmp_path / "rules.db"
+    path.write_bytes(text.encode("utf-8"))
+    return read_snapshot(path)
+
+
+# A lone form feed is whitespace on a line of its own, not a line break.
+@pytest.mark.parametrize("blank", ["\r\n", " \t\n", "\x0c\n"], ids=["crlf", "spaces", "ff"])
+@pytest.mark.parametrize("kind", ["str", "stringio", "path"])
+def test_reader_tolerates_blanks_comments_spacing_and_crlf(kind, blank, tmp_path):
+    db, alpha, theta = parse_from(kind, tolerated(blank), tmp_path)
+    assert dump_snapshot(db, alpha, theta) == (
+        "LOOKUPDB v1 alpha=0.8 theta=0.5\n"
+        "E 0 cond=1,2 pred=3 p=0.5\n"
+        "S 0 -1 total=2 4:1 5:1\n"
+    )
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        parse_from(kind, tolerated(blank) + "bogus\r\n", tmp_path)
+    assert str(excinfo.value) == "line 6: unknown line tag 'bogus'"
+
+
+def churn_trace(events, seed):
+    """Uniform random steps 1-4 with two often-present classifications."""
+    rng = random.Random(seed)
+    return [
+        Observation(
+            rng.randint(1, 4), {cc: rng.randrange(5) for cc in (0, 1) if rng.random() < 0.9}
+        )
+        for _ in range(events)
+    ]
+
+
+@pytest.mark.parametrize(
+    "observations,mode",
+    [
+        (churn_trace(2_000, 4242), "baseline"),
+        (generate_trace("mix", 40, 3, seed=4242), "context"),
+    ],
+    ids=["churn-baseline", "mix-context"],
+)
+def test_engine_snapshots_round_trip_at_scale(observations, mode):
+    engine, _ = run_trace(observations, PredictorConfig(engine_mode=mode))
+    text = dump_snapshot(engine.db, 0.8, 0.5)
+    loaded, alpha, theta = parse_snapshot(text)
+    assert dump_snapshot(loaded, alpha, theta) == text
+    assert [entry.slots for entry in loaded] == [entry.slots for entry in engine.db]
+    widest = max(len(line.split()) - 4 for line in text.splitlines() if line[0] == "S")
+    assert widest >= (10 if mode == "context" else 2)
+    # One key tuple per distinct (cc, index) across the whole load.
+    keys = [key for entry in loaded for key in entry.slots]
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
+def test_an_undecodable_byte_names_its_line(tmp_path):
+    """The reader decodes in chunks: the line is found past the first one."""
+    path = tmp_path / "rules.db"
+    text = dump_snapshot(random_db(1, entries=600), 0.8, 0.5)
+    lines = text.encode("utf-8").split(b"\n")
+    assert len(text) > 20_000
+    lines[-40] += b"\xff"
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        read_snapshot(path)
+    assert str(excinfo.value) == (
+        f"line {len(lines) - 39}: byte 0xff is not UTF-8 (invalid start byte)"
+    )
