@@ -27,7 +27,6 @@ from .engine import (
 )
 from .errors import NextStepError
 from .evaluation import (
-    DEFAULT_ROLL_WINDOW,
     compare_engines,
     dump_trace,
     metrics_to_csv,
@@ -38,7 +37,7 @@ from .evaluation import (
 )
 from .lookupdb import LookupDB, read_snapshot, write_snapshot
 from .scenarios import TRACE_KINDS, generate_trace
-from .window import Observation, parse_id
+from .window import Observation, parse_id, reject_loose_numbers
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -98,6 +97,7 @@ def _write_text(path: str, text: str) -> None:
 def _parse_id_list(text: str, what: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
+    reject_loose_numbers(text)
     return tuple(parse_id(token.strip(), f"{what} id") for token in text.split(","))
 
 
@@ -126,7 +126,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _echo_config(config)
     observations = _read_records(args.trace)
-    engine, rows = run_trace(observations, config, args.roll_window)
+    engine, rows = run_trace(observations, config)
     _write_text(args.output, metrics_to_csv(rows))
     if args.save_db:
         write_snapshot(engine.db, config.alpha, config.theta, args.save_db)
@@ -138,9 +138,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _echo_config(config, mode_text="context+baseline")
     observations = _read_records(args.trace)
-    context_rows, baseline_rows = compare_engines(
-        observations, config, args.roll_window
-    )
+    context_rows, baseline_rows = compare_engines(observations, config)
     outputs = (
         (f"{args.output_prefix}_context.csv", metrics_to_csv(context_rows)),
         (f"{args.output_prefix}_baseline.csv", metrics_to_csv(baseline_rows)),
@@ -163,8 +161,6 @@ def _inspect_lines(db: LookupDB) -> list[str]:
         cond = ",".join(str(step) for step in entry.condition)
         line = f"cond={cond} pred={entry.prediction} p={entry.p:.3f}"
         for (cc, index), slot in sorted(entry.slots.items()):
-            if slot.total == 0:
-                continue
             top_ctx = min(
                 slot.per_context, key=lambda ctx: (-slot.per_context[ctx], ctx)
             )
@@ -280,8 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="metrics CSV to write, - for stdout")
     run.add_argument("--save-db", default=None, metavar="PATH",
                      help="write the trained rule database snapshot here")
-    run.add_argument("--roll-window", type=int, default=DEFAULT_ROLL_WINDOW,
-                     help="rolling accuracy window, default 25")
     _add_engine_arguments(run, with_engine_flag=True)
     run.set_defaults(handler=_cmd_run)
 
@@ -291,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("trace", help="trace file to replay")
     compare.add_argument("--output-prefix", required=True,
                          help="writes <prefix>_context.csv, <prefix>_baseline.csv, <prefix>.svg")
-    compare.add_argument("--roll-window", type=int, default=DEFAULT_ROLL_WINDOW,
-                         help="rolling accuracy window, default 25")
     _add_engine_arguments(compare, with_engine_flag=False)
     compare.set_defaults(handler=_cmd_compare)
 

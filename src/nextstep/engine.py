@@ -241,17 +241,15 @@ class Engine:
     def _inherited_p(self, pushed: Matches) -> float:
         """The p new children start with.
 
-        It comes from the longest rule matching the window after the
-        push with p > 0, the one prediction would lean on now; ties go
-        to the higher p, then the older rule.  With no such rule it is
-        1 - alpha, the p of a fresh pair rule.
+        It is the highest p among the longest rules matching the window
+        after the push with p > 0, the ones prediction would lean on
+        now.  With no such rule it is 1 - alpha, the p of a fresh pair
+        rule.
         """
         entry = self.db.entry
         tables = pushed.by_length
         for length in range(len(tables), 0, -1):
             best = 0.0
-            # Entry ids ascend in each table, so the first of equal p
-            # is the older rule.
             for entry_id in tables[length - 1].values():
                 p = entry(entry_id).p
                 if p > best:

@@ -20,13 +20,17 @@ from typing import Iterable, Sequence
 from .atomicwrite import write_text_atomically
 from .engine import Engine, PredictorConfig
 from .errors import TraceFormatError, read_utf8
-from .window import Observation, StepId, parse_id
+from .window import Observation, StepId, parse_id, reject_loose_numbers
 
-DEFAULT_ROLL_WINDOW = 25
+# roll_accuracy is the accuracy of the last ROLL_WINDOW scored predictions.
+ROLL_WINDOW = 25
 
 
 def parse_record(text: str) -> Observation:
     """One trace line to an observation; raises ValueError on bad syntax."""
+    # reject_loose_numbers' test, inline, as in lookupdb.parse_snapshot.
+    if not text.isascii() or "_" in text or "+" in text:
+        reject_loose_numbers(text)
     step_text, _, rest = text.strip().partition(" ")
     step = parse_id(step_text, "step")
     contexts: dict[int, int] = {}
@@ -114,7 +118,6 @@ class MetricsRow:
 def run_trace(
     observations: Sequence[Observation],
     config: PredictorConfig,
-    roll_window: int = DEFAULT_ROLL_WINDOW,
 ) -> tuple[Engine, list[MetricsRow]]:
     """Replay a trace: the first record only primes the window, every
     later record is predicted before it is learned.
@@ -123,13 +126,11 @@ def run_trace(
     scored record.
     """
     steps, classifications = derive_universes(observations)
-    if roll_window < 1:
-        raise ValueError(f"roll window must be positive, got {roll_window}")
     engine = Engine(config, steps, classifications)
     engine.learn(observations[0])
     rows: list[MetricsRow] = []
     cum_correct = 0
-    recent: deque[int] = deque(maxlen=roll_window)
+    recent: deque[int] = deque(maxlen=ROLL_WINDOW)
     for t, observation in enumerate(observations[1:], start=1):
         result = engine.predict()
         correct = bool(engine.learn(observation))
@@ -152,15 +153,10 @@ def run_trace(
 def compare_engines(
     observations: Sequence[Observation],
     config: PredictorConfig,
-    roll_window: int = DEFAULT_ROLL_WINDOW,
 ) -> tuple[list[MetricsRow], list[MetricsRow]]:
     """Replay the same trace context-aware and context-blind."""
-    _, context_rows = run_trace(
-        observations, replace(config, engine_mode="context"), roll_window
-    )
-    _, baseline_rows = run_trace(
-        observations, replace(config, engine_mode="baseline"), roll_window
-    )
+    _, context_rows = run_trace(observations, replace(config, engine_mode="context"))
+    _, baseline_rows = run_trace(observations, replace(config, engine_mode="baseline"))
     return context_rows, baseline_rows
 
 
@@ -181,14 +177,13 @@ def metrics_to_csv(rows: Iterable[MetricsRow]) -> str:
 def render_comparison_svg(
     context_rows: Sequence[MetricsRow],
     baseline_rows: Sequence[MetricsRow],
-    width: int = 800,
-    height: int = 620,
 ) -> str:
     """Two stacked panels comparing both replays of one trace.
 
     Top panel: cumulative correct predictions.  Bottom panel: rolling
     accuracy.  The context-aware series is red, the baseline blue.
     """
+    width, height = 800, 620
     margin_left, margin_right = 70.0, 25.0
     panel_h = (height - 180) / 2
     plot_w = width - margin_left - margin_right

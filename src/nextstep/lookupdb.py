@@ -19,7 +19,14 @@ from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError, read_utf8
-from .window import ClassificationId, ContextId, ObservationWindow, StepId, parse_id
+from .window import (
+    ClassificationId,
+    ContextId,
+    ObservationWindow,
+    StepId,
+    parse_id,
+    reject_loose_numbers,
+)
 
 SNAPSHOT_MAGIC = "LOOKUPDB"
 SNAPSHOT_VERSION = "v1"
@@ -36,16 +43,15 @@ SlotKeys = Sequence[Sequence[tuple[ClassificationId, SlotKey]]]
 class ContextSlot:
     """Occurrence counters for one classification at one condition index.
 
-    record_contexts() is the one place the counters grow.
+    record_contexts() is the one place the counters grow.  A slot is
+    made with its first count, so ``total`` is always at least 1.
     """
 
-    total: int = 0
-    per_context: dict[ContextId, int] = field(default_factory=dict)
+    total: int
+    per_context: dict[ContextId, int]
 
     def weight(self, context: ContextId) -> float:
         """Fraction of recorded occurrences that had this context."""
-        if self.total == 0:
-            return 0.0
         return self.per_context.get(context, 0) / self.total
 
 
@@ -59,10 +65,6 @@ class Entry:
     p: float
     slots: dict[SlotKey, ContextSlot] = field(default_factory=dict)
 
-    def condition_at(self, index: int) -> StepId:
-        """Condition element ``-index`` positions before the newest one."""
-        return self.condition[len(self.condition) - 1 + index]
-
 
 def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) -> bool:
     """True iff the condition equals the window's step run ``offset`` ago.
@@ -74,8 +76,8 @@ def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) 
     if offset < 0 or length + offset > len(window):
         return False
     return all(
-        entry.condition_at(q) == window.step_at(q - offset)
-        for q in range(1 - length, 1)
+        step == window.step_at(q - offset)
+        for q, step in zip(range(1 - length, 1), entry.condition)
     )
 
 
@@ -132,7 +134,7 @@ def context_fit(
             if ctx is None:
                 continue
             slot = slots.get(key)
-            if slot is None or slot.total == 0:
+            if slot is None:
                 continue
             counted = True
             # ContextSlot.weight, inline: one method call per cell is
@@ -224,16 +226,6 @@ class LookupDB:
     def entry(self, entry_id: int) -> Entry:
         return self._entries[entry_id]
 
-    def find(self, condition: tuple[StepId, ...], prediction: StepId) -> Entry | None:
-        """The entry with exactly this condition and prediction, if any."""
-        node: _Node | None = self._root
-        for step in reversed(condition):
-            node = node.children.get(step)
-            if node is None:
-                return None
-        entry_id = node.rules.get(prediction)
-        return None if entry_id is None else self._entries[entry_id]
-
     def add(self, condition: tuple[StepId, ...], prediction: StepId, p: float) -> Entry:
         """Store a new rule; (condition, prediction) must be unused.
 
@@ -297,8 +289,6 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
         cond = ",".join(str(step) for step in entry.condition)
         lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
         for (cc, index), slot in sorted(entry.slots.items()):
-            if slot.total == 0:
-                continue
             pairs = " ".join(
                 f"{ctx}:{count}" for ctx, count in sorted(slot.per_context.items())
             )
@@ -336,6 +326,10 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
             continue
         tag = tokens[0]
         try:
+            # reject_loose_numbers' test, inline: a call per line would
+            # cost more than the test.
+            if not raw.isascii() or "_" in raw or "+" in raw:
+                reject_loose_numbers(raw)
             # Slot lines are most of a snapshot: test their tag first.
             if tag == "S" and alpha is not None:
                 _parse_slot(tokens, current, keys)

@@ -119,6 +119,22 @@ def _require_id(kind: str, value: int) -> None:
         raise ValueError(f"{kind} id {value!r} must be a non-negative int")
 
 
+def reject_loose_numbers(text: str) -> None:
+    """Reject what int() and float() accept beyond the text formats.
+
+    Those are ``_`` digit separators, a leading ``+`` and non-ASCII
+    digits; a line holding any of them is checked by one test, not
+    token by token.
+    """
+    if text.isascii() and "_" not in text and "+" not in text:
+        return
+    bad = next(ch for ch in text if ch in "_+" or not ch.isascii())
+    raise ValueError(
+        f"character {bad!r} is not allowed: numbers are ASCII digits, "
+        "without '_' or '+'"
+    )
+
+
 def parse_id(text: str, what: str) -> int:
     """``text`` as a non-negative id; ``what`` names it in the error."""
     try:

@@ -20,6 +20,16 @@ def closed_form_incorrect(p0: float, alpha: float, k: int) -> float:
     return (alpha ** k) * p0
 
 
+def find_entry(db, condition, prediction):
+    """The entry of ``db`` with exactly this condition and prediction, or
+    None, found by a linear scan over every entry."""
+    condition = tuple(condition)
+    for entry in db:
+        if entry.condition == condition and entry.prediction == prediction:
+            return entry
+    return None
+
+
 def brute_match(condition: list[int], steps_newest_first: list[int], offset: int) -> bool:
     """Literal slice comparison; window given newest first."""
     length = len(condition)

@@ -144,16 +144,24 @@ def test_run_echoes_the_effective_config(capsys, tmp_path):
     )
 
 
-@pytest.mark.parametrize("flag", ["--extension-scope", "--context-update-scope"])
-def test_run_has_no_scope_flags(capsys, tmp_path, flag):
+@pytest.mark.parametrize("command,flag,value", [
     # Every matched rule grows after a correct suggestion, and only the
     # rules that predicted the step count contexts; no flag widens or
     # narrows either set.
+    ("run", "--extension-scope", "all-matching"),
+    ("run", "--context-update-scope", "all-matching"),
+    # roll_acc always covers the last 25 scored steps.
+    ("run", "--roll-window", "4"),
+    ("compare", "--roll-window", "4"),
+])
+def test_deleted_flags_are_rejected(capsys, tmp_path, command, flag, value):
     trace = make_trace(capsys, tmp_path, "--scenario", "a", "--components", "1")
-    code, out, err = run_cli(capsys, "run", str(trace), flag, "all-matching")
+    extra = ["--output-prefix", str(tmp_path / "report")] if command == "compare" else []
+    code, out, err = run_cli(capsys, command, str(trace), *extra, flag, value)
     assert code == 1
     assert out == ""
-    assert f"unrecognized arguments: {flag} all-matching" in err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert list(tmp_path.iterdir()) == [trace]
 
 
 def test_run_help_shows_the_config_defaults(capsys):
@@ -502,9 +510,17 @@ def test_repl_load_command_with_an_undeclared_classification_keeps_the_engine(
     assert "7,0=" not in out
 
 
+def loose(ch):
+    """The error for a number spelled with ``_``, ``+`` or non-ASCII."""
+    return f"character {ch!r} is not allowed: numbers are ASCII digits, without '_' or '+'"
+
+
 @pytest.mark.parametrize("steps,message", [
     ("1,x", "bad step id 'x'"),
     ("1,-2", "step id -2 must not be negative"),
+    ("1,+2", loose("+")),
+    ("1_0", loose("_")),
+    ("1,\u0661", loose("\u0661")),
 ])
 def test_repl_bad_step_list_is_a_usage_error(capsys, monkeypatch, steps, message):
     code, out, err = repl(capsys, monkeypatch, "1\n", "--steps", steps)

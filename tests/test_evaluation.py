@@ -33,6 +33,11 @@ ALPHA = 0.8
 Q = 1.0 - ALPHA
 
 
+def loose(ch):
+    """The error for a number spelled with ``_``, ``+`` or non-ASCII."""
+    return f"character {ch!r} is not allowed: numbers are ASCII digits, without '_' or '+'"
+
+
 # -- record and trace format --------------------------------------------------
 
 
@@ -56,6 +61,14 @@ def test_bad_records_are_rejected(bad):
     ("", "bad step ''"),
     ("1.5 0=2", "bad step '1.5'"),
     ("-1", "step -1 must not be negative"),
+    # int() takes '_' separators, a '+' sign and non-ASCII digits; the
+    # format does not, in the step or in a pair.
+    ("1_0", loose("_")),
+    ("+1", loose("+")),
+    ("\u0663", loose("\u0663")),
+    ("1 0_0=1", loose("_")),
+    ("1 0=+1", loose("+")),
+    ("1 0=1,1=\u0663", loose("\u0663")),
 ])
 def test_bad_step_messages(text, message):
     with pytest.raises(ValueError) as excinfo:
@@ -72,6 +85,9 @@ def test_parse_trace_reports_the_offending_line():
     with pytest.raises(TraceFormatError) as excinfo:
         parse_trace(["1", "2", "huh"])
     assert "line 3:" in str(excinfo.value)
+    with pytest.raises(TraceFormatError) as excinfo:
+        parse_trace(["# +1_0 \u0663", "1", "1_0 0=+1,1=\u0663"])
+    assert str(excinfo.value) == "line 3: " + loose("_")
 
 
 def test_trace_file_round_trip(tmp_path):
@@ -129,11 +145,18 @@ def test_run_trace_scores_from_the_second_record():
 
 
 def test_run_trace_rolling_window():
-    trace = parse_trace(["2", "3"] * 6)
-    _, rows = run_trace(trace, PredictorConfig(), roll_window=4)
-    # once warmed up the cycle is always predicted: window fills with hits
-    assert rows[-1].roll_accuracy == 1.0
+    # the first two scored steps miss, every later one hits; roll_acc
+    # averages the last 25 scored steps, so the misses leave it at t = 27
+    trace = parse_trace(["2", "3"] * 30)
+    _, rows = run_trace(trace, PredictorConfig())
+    assert [row.correct for row in rows] == [False, False] + [True] * 57
+    for row in rows:
+        recent = rows[max(row.t - 25, 0):row.t]
+        assert row.roll_accuracy == sum(r.correct for r in recent) / len(recent)
     assert rows[2].roll_accuracy == pytest.approx(1 / 3)
+    assert rows[24].roll_accuracy == pytest.approx(23 / 25)
+    assert rows[25].roll_accuracy == pytest.approx(24 / 25)
+    assert rows[26].roll_accuracy == 1.0
 
 
 def test_single_record_trace_primes_but_scores_nothing():

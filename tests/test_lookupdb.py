@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from nextstep import Engine, Observation, PredictorConfig
 from nextstep.errors import WindowRangeError
 from nextstep.lookupdb import (
-    ContextSlot,
     LookupDB,
     condition_matches,
     dump_snapshot,
@@ -19,7 +18,12 @@ from nextstep.lookupdb import (
     slot_keys,
 )
 from nextstep.window import ObservationWindow
-from .reference import brute_match, closed_form_correct, closed_form_incorrect
+from .reference import (
+    brute_match,
+    closed_form_correct,
+    closed_form_incorrect,
+    find_entry,
+)
 
 
 def window_from(steps, universe=(1, 2, 3, 4), capacity=10):
@@ -92,17 +96,13 @@ def test_slot_records_and_weighs():
     assert slot.weight(9) == 0.0
 
 
-def test_fresh_slot_weight_is_zero():
-    assert ContextSlot().weight(5) == 0.0
-
-
 def test_slot_consistency():
     slot = count_contexts(1, 1, 2, 3)
     assert slot.total == sum(slot.per_context.values())
     assert slot.per_context == {1: 2, 2: 1, 3: 1}
 
 
-# -- add / find ----------------------------------------------------------
+# -- add ----------------------------------------------------------------
 
 
 def test_add_assigns_dense_ids():
@@ -113,14 +113,14 @@ def test_add_assigns_dense_ids():
     assert db.entry(1).condition == (1, 2)
 
 
-def test_find_distinguishes_predictions():
+def test_add_keeps_predictions_apart():
     db = LookupDB()
     db.add((1,), 2, 0.2)
     db.add((1,), 3, 0.4)
-    assert db.find((1,), 2).p == pytest.approx(0.2)
-    assert db.find((1,), 3).p == pytest.approx(0.4)
-    assert db.find((1,), 4) is None
-    assert db.find((2,), 2) is None
+    assert find_entry(db, (1,), 2).p == pytest.approx(0.2)
+    assert find_entry(db, (1,), 3).p == pytest.approx(0.4)
+    assert find_entry(db, (1,), 4) is None
+    assert find_entry(db, (2,), 2) is None
 
 
 def test_duplicate_add_rejected():
@@ -145,7 +145,7 @@ def test_add_names_the_first_bad_id_in_a_condition():
     with pytest.raises(ValueError, match=r"step id -7 "):
         db.add((1, 2), -7, 0.5)
     assert len(db) == 0
-    assert db.find((1, -3, 2, -5), 2) is None
+    assert find_entry(db, (1, -3, 2, -5), 2) is None
 
 
 @pytest.mark.parametrize("condition,prediction", [((1, True), 2), ((1,), True)])
@@ -163,7 +163,7 @@ def test_add_rejects_a_bool_p(p):
     with pytest.raises(ValueError, match=rf"probability {p} must be a float"):
         db.add((2,), 3, p)
     assert len(db) == 0
-    assert db.find((2,), 3) is None
+    assert find_entry(db, (2,), 3) is None
 
 
 @pytest.mark.parametrize("p,text", [(1, "p=1.0"), (0, "p=0.0")])
@@ -175,14 +175,6 @@ def test_add_stores_an_int_p_as_a_float(p, text):
     snapshot = dump_snapshot(db, 0.8, 0.5)
     assert snapshot.endswith(f" {text}\n")
     assert dump_snapshot(parse_snapshot(snapshot)[0], 0.8, 0.5) == snapshot
-
-
-def test_condition_at_is_relative_to_newest():
-    db = LookupDB()
-    entry = db.add((5, 6, 7), 1, 0.5)
-    assert entry.condition_at(0) == 7
-    assert entry.condition_at(-1) == 6
-    assert entry.condition_at(-2) == 5
 
 
 # -- matching ------------------------------------------------------------
@@ -294,16 +286,16 @@ def test_matching_entries_equals_per_entry_matching():
             assert all(len(e.condition) <= depth for e in found)
 
 
-def test_find_is_exact_on_a_path_only_a_longer_rule_spelled():
+def test_trie_is_exact_on_a_path_only_a_longer_rule_spelled():
     db = LookupDB()
     db.add((1, 2, 3), 4, 0.5)
-    assert db.find((2, 3), 4) is None
-    assert db.find((3,), 4) is None
-    assert db.find((1, 2, 3), 2) is None
+    assert find_entry(db, (2, 3), 4) is None
+    assert find_entry(db, (3,), 4) is None
+    assert find_entry(db, (1, 2, 3), 2) is None
     assert db.matching_entries(window_from([2, 3])).by_length == [{}, {}]
     entry = db.add((2, 3), 4, 0.25)
-    assert db.find((2, 3), 4) is entry
-    assert db.find((1, 2, 3), 4).entry_id == 0
+    assert find_entry(db, (2, 3), 4) is entry
+    assert find_entry(db, (1, 2, 3), 4).entry_id == 0
     found = db.matching_entries(window_from([1, 2, 3]))
     assert [e.entry_id for e in found] == [0, 1]
     assert found.by_length == [{}, {4: 1}, {4: 0}]

@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from nextstep import PredictorConfig
-from nextstep.cli import _add_engine_arguments, main
+from nextstep.cli import _add_engine_arguments, _build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -109,3 +109,20 @@ def test_configuration_table_lists_every_config_field():
     for (name, flag, default, _), field in zip(rows, config_fields):
         assert dest_of.get(flag) == name, flag
         assert default == str(field.default), name
+
+
+def test_every_cli_option_is_documented():
+    text = README.read_text(encoding="utf-8")
+    subparsers = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    missing = [
+        f"{name} {flag}"
+        for name, parser in subparsers.choices.items()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    ]
+    assert missing == []

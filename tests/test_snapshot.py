@@ -132,6 +132,12 @@ HEADER = "LOOKUPDB v1 alpha=0.8 theta=0.5\n"
 ENTRY = "E 0 cond=1 pred=2 p=0.5\n"
 EXPECTED_HEADER = "expected header 'LOOKUPDB v1 alpha=... theta=...'"
 
+
+def loose(ch):
+    """The error for a number spelled with ``_``, ``+`` or non-ASCII."""
+    return f"character {ch!r} is not allowed: numbers are ASCII digits, without '_' or '+'"
+
+
 # (text, line number, message): every raise site of the reader.
 BAD_SNAPSHOTS = [
     ("RULEBOOK v1 alpha=0.8 theta=0.5\n", 1, EXPECTED_HEADER),
@@ -188,6 +194,26 @@ BAD_SNAPSHOTS = [
     # The first bad pair names the error, not a later one.
     (HEADER + ENTRY + "S 0 0 total=2 5:1 5:1 x:1\n", 3, "duplicate context 5 in slot"),
     (HEADER + ENTRY + "S 0 0 total=2 5:0 x:1\n", 3, "context count 0 must be positive"),
+    # int() and float() take '_' separators, a '+' sign and non-ASCII
+    # digits; the format does not, in any number of any line.
+    ("LOOKUPDB v1 alpha=0.8_0 theta=0.5\n", 1, loose("_")),
+    ("LOOKUPDB v1 alpha=0.8 theta=+0.5\n", 1, loose("+")),
+    ("LOOKUPDB v1 alpha=\u0660.8 theta=0.5\n", 1, loose("\u0660")),
+    (HEADER + "E +0 cond=1 pred=2 p=0.5\n", 2, loose("+")),
+    (HEADER + "E 0 cond=1_0 pred=2 p=0.5\n", 2, loose("_")),
+    (HEADER + "E 0 cond=1,\u0663 pred=2 p=0.5\n", 2, loose("\u0663")),
+    (HEADER + "E 0 cond=1 pred=+2 p=0.5\n", 2, loose("+")),
+    (HEADER + "E 0 cond=1 pred=2 p=0.5_0\n", 2, loose("_")),
+    (HEADER + "E 0 cond=1 pred=2 p=\uff10.5\n", 2, loose("\uff10")),
+    (HEADER + "E 0 cond=1_0,+2,\u0663 pred=+2 p=0.5_0\n", 2, loose("_")),
+    (HEADER + ENTRY + "S +0 0 total=1 5:1\n", 3, loose("+")),
+    (HEADER + ENTRY + "S 0 -0_0 total=1 5:1\n", 3, loose("_")),
+    (HEADER + ENTRY + "S 0 \u0660 total=1 5:1\n", 3, loose("\u0660")),
+    (HEADER + ENTRY + "S 0 0 total=1_0 5:10\n", 3, loose("_")),
+    (HEADER + ENTRY + "S 0 0 total=+1 5:1\n", 3, loose("+")),
+    (HEADER + ENTRY + "S 0 0 total=1 +5:1\n", 3, loose("+")),
+    (HEADER + ENTRY + "S 0 0 total=1 5:\u0661\n", 3, loose("\u0661")),
+    (HEADER + ENTRY + "S 0 0 total=10 5_0:10\n", 3, loose("_")),
 ]
 
 
@@ -216,7 +242,7 @@ def tolerated(blank):
     """A hand-edited snapshot: no line of it is in canonical form."""
     return (
         " LOOKUPDB v1 alpha=0.8 theta=0.5\r\n"
-        "# edited by hand\r\n"
+        "# edited by hand: +1_000 \u00e9\r\n"
         f"{blank}"
         "E 0  cond=1,2\tpred=3   p=0.5\r\n"
         "S 0 -1 total=2 4:1  5:1 \r\n"
