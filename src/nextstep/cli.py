@@ -210,7 +210,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             engine = next_engine
             continue
         try:
-            engine.learn(parse_record(line))
+            engine.learn(parse_record(raw))
         except (NextStepError, ValueError) as exc:
             print(f"error: {exc}")
     return 0

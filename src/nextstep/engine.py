@@ -222,17 +222,19 @@ class Engine:
             else:
                 entry.p = alpha * entry.p
         if correct:
-            # Taken before any rule is stored: the pushed tables are
+            # Taken before any rule is stored: the pushed nodes are
             # live, and the fresh pair rule lands on their path when
             # previous == step.
             pushed = self._matches()
             inherit_p = self._inherited_p(pushed)
         # The pair rule (previous,)->step sits at the pre-push walk's
-        # first table, if the walk got that far.
+        # first node, if the walk got that far.  A copy of that one-node
+        # path is grown, so the walk's own path stays as walked.
         if previous is not None:
-            tables = matches.by_length
-            if not tables or step not in tables[0]:
-                record_contexts(self.db.add((previous,), step, gain), table, keys)
+            path = matches.path
+            if not path or step not in path[0].rules:
+                pair = self.db.add_on_path(path[:1], (previous,), step, gain)
+                record_contexts(pair, table, keys)
         if correct:
             self._extend(matches, pushed, step, inherit_p)
         self._last_prediction = None
@@ -247,10 +249,10 @@ class Engine:
         rule.
         """
         entry = self.db.entry
-        tables = pushed.by_length
-        for length in range(len(tables), 0, -1):
+        path = pushed.path
+        for length in range(len(path), 0, -1):
             best = 0.0
-            for entry_id in tables[length - 1].values():
+            for entry_id in path[length - 1].rules.values():
                 p = entry(entry_id).p
                 if p > best:
                     best = p
@@ -271,24 +273,32 @@ class Engine:
         appends the observation and before it when it extends into the
         past.  Either way it stays shorter than the window after the
         push, so no child is as long as ``window_capacity``.  The child
-        of a rule of length L exists iff the table of length L + 1 in
-        that window's walk holds the parent's prediction; the db is
-        never probed.  The tables are live, but nothing stored since the
-        walks can fake a child: the pair rule has length 1, and no two
-        children share a length and a prediction.
+        of a rule of length L exists iff node L of that window's walk
+        path holds the parent's prediction; the db is never probed.  The
+        nodes are live, but nothing stored since the walks can fake a
+        child: the pair rule has length 1, and no two children share a
+        length and a prediction.
+
+        Children are stored straight on that path by add_on_path, from
+        the node of their length, or from the path's end where the walk
+        stopped short.  Their steps come from the parent and the window,
+        which checked them, so no id is checked again.  The path is
+        copied once, at the first child, and the copy grows with the
+        nodes made for it, so a later child reuses them.
         """
         append = self.config.extension_direction == "append-observation"
-        tables = pushed.by_length if append else matches.by_length
-        depth = len(tables)
+        path = pushed.path if append else matches.path
+        depth = len(path)
         limit = len(self.window)
         step_at = self.window.step_at
-        add = self.db.add
+        add_on_path = self.db.add_on_path
+        grown: list | None = None
         for parent in matches:
             condition = parent.condition
             length = len(condition)
             if length + 1 >= limit:
                 continue
-            if length < depth and parent.prediction in tables[length]:
+            if length < depth and parent.prediction in path[length].rules:
                 continue
             if append:
                 condition += (step,)
@@ -296,10 +306,12 @@ class Engine:
                 # Prepend the step just older than the span the parent
                 # matched, which sits at window index -(length + 1).
                 condition = (step_at(-length - 1),) + condition
+            if grown is None:
+                grown = path.copy()
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong
             # ancestor outvote everything the child itself ever observes,
             # because old counts never decay.  An empty slot set scores
             # as "nothing speaks against it" until the child earns its
             # own evidence.
-            add(condition, parent.prediction, inherit_p)
+            add_on_path(grown, condition, parent.prediction, inherit_p)

@@ -27,7 +27,12 @@ ROLL_WINDOW = 25
 
 
 def parse_record(text: str) -> Observation:
-    """One trace line to an observation; raises ValueError on bad syntax."""
+    """One trace line to an observation; raises ValueError on bad syntax.
+
+    ``text`` is the raw line: its characters are checked before it is
+    stripped, so non-ASCII whitespace around the fields is rejected as
+    the snapshot reader rejects it.
+    """
     # reject_loose_numbers' test, inline, as in lookupdb.parse_snapshot.
     if not text.isascii() or "_" in text or "+" in text:
         reject_loose_numbers(text)
@@ -70,7 +75,7 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
         if not line or line.startswith("#"):
             continue
         try:
-            observations.append(parse_record(line))
+            observations.append(parse_record(raw))
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
     return observations

@@ -181,16 +181,18 @@ def record_contexts(
 class Matches(list):
     """LookupDB.matching_entries' result: the matching entries, id ascending.
 
-    ``by_length[length - 1]`` maps prediction to entry id for the rules
-    whose condition is the ``length`` newest steps of the matched run,
-    for every length the trie walk reached; a length past the end has
-    no rule.  The tables are the trie's own and stay live: a rule added
-    later on the same path shows up in them but not in the list.
+    ``path[k]`` is the trie node the walk reached after ``k + 1`` steps:
+    its ``rules`` map prediction to entry id for the rules whose
+    condition is the ``k + 1`` newest steps of the matched run.  A
+    length past the end of the path has no rule.  The nodes are the
+    trie's own and stay live: a rule added later on the same path shows
+    up in their ``rules`` but not in the list.  LookupDB.add_on_path
+    grows a rule that is a suffix of the run straight into these nodes.
     """
 
-    __slots__ = ("by_length",)
+    __slots__ = ("path",)
 
-    by_length: list[dict[StepId, int]]
+    path: list[_Node]
 
 
 class _Node:
@@ -229,7 +231,10 @@ class LookupDB:
     def add(self, condition: tuple[StepId, ...], prediction: StepId, p: float) -> Entry:
         """Store a new rule; (condition, prediction) must be unused.
 
-        A rejected rule leaves the database as it was.
+        Every id and ``p`` is checked here, as rules from outside the
+        engine (the caller, a snapshot) enter through this method.  The
+        rule is then stored by add_on_path, walking from the root.  A
+        rejected rule leaves the database as it was.
         """
         condition = tuple(condition)
         if not condition:
@@ -241,18 +246,41 @@ class LookupDB:
             raise ValueError(f"probability {p!r} must be a float, not a bool")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability {p!r} outside [0, 1]")
-        node = self._root
-        for step in reversed(condition):
-            child = node.children.get(step)
-            if child is None:
-                child = node.children[step] = _Node()
-            node = child
+        return self.add_on_path([], condition, prediction, float(p))
+
+    def add_on_path(
+        self, path: list[_Node], condition: tuple[StepId, ...], prediction: StepId, p: float
+    ) -> Entry:
+        """Store a rule at the end of a known trie path; ids are not checked.
+
+        ``path[k]`` must be the node of the condition's ``k + 1`` newest
+        steps, as Matches.path is for a rule that is a suffix of the
+        walked run; it may stop short of the condition or run past it.
+        Where it stops short, the missing nodes are found or made from
+        the condition's own steps and appended to ``path``.  The caller
+        vouches for the ids: the engine builds its rules from steps that
+        ObservationWindow.push checked, and add() checks everything
+        else.  A taken (condition, prediction) pair raises ValueError
+        and leaves the database as it was.
+        """
+        length = len(condition)
+        depth = len(path)
+        if depth >= length:
+            node = path[length - 1]
+        else:
+            node = path[-1] if path else self._root
+            for step in condition[length - depth - 1::-1]:
+                child = node.children.get(step)
+                if child is None:
+                    child = node.children[step] = _Node()
+                path.append(child)
+                node = child
         # A taken pair means its whole path existed: nothing was built.
         if prediction in node.rules:
             raise ValueError(
                 f"entry with condition {condition} predicting {prediction} already exists"
             )
-        entry = Entry(len(self._entries), condition, prediction, float(p))
+        entry = Entry(len(self._entries), condition, prediction, p)
         self._entries.append(entry)
         node.rules[prediction] = entry.entry_id
         return entry
@@ -262,23 +290,23 @@ class LookupDB:
 
         Equivalent to filtering with condition_matches.  One walk down
         the trie reads the window's steps from index ``-offset`` back
-        and stops at the first step with no child; the tables it passed
-        through come back as the result's ``by_length``.
+        and stops at the first step with no child; the nodes it passed
+        through come back as the result's ``path``.
         """
         node = self._root
-        tables: list[dict[StepId, int]] = []
+        path: list[_Node] = []
         ids: list[int] = []
         for observation in window.newest_first(offset):
             node = node.children.get(observation.step)
             if node is None:
                 break
+            path.append(node)
             rules = node.rules
-            tables.append(rules)
             if rules:
                 ids.extend(rules.values())
         ids.sort()
         matches = Matches(map(self._entries.__getitem__, ids))
-        matches.by_length = tables
+        matches.path = path
         return matches
 
 

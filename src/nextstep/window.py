@@ -120,15 +120,19 @@ def _require_id(kind: str, value: int) -> None:
 
 
 def reject_loose_numbers(text: str) -> None:
-    """Reject what int() and float() accept beyond the text formats.
+    """Reject what int(), float() and str.split() accept beyond the text formats.
 
-    Those are ``_`` digit separators, a leading ``+`` and non-ASCII
-    digits; a line holding any of them is checked by one test, not
-    token by token.
+    Those are ``_`` digit separators, a leading ``+``, non-ASCII digits
+    and non-ASCII whitespace; a line holding any of them is checked by
+    one test, not token by token.
     """
     if text.isascii() and "_" not in text and "+" not in text:
         return
     bad = next(ch for ch in text if ch in "_+" or not ch.isascii())
+    if bad.isspace():
+        raise ValueError(
+            f"character {bad!r} is not allowed: fields are separated by ASCII whitespace"
+        )
     raise ValueError(
         f"character {bad!r} is not allowed: numbers are ASCII digits, "
         "without '_' or '+'"

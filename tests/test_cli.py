@@ -365,6 +365,13 @@ def test_repl_bad_line_reports_and_keeps_state(capsys, monkeypatch):
     assert lines[-1].startswith("suggestion: step=3")
 
 
+def test_repl_rejects_a_line_the_trace_reader_rejects(capsys, monkeypatch):
+    code, out, _ = repl(capsys, monkeypatch, "2\n 3 0=1\u3000\n")
+    assert code == 0
+    assert ("error: character '\\u3000' is not allowed: "
+            "fields are separated by ASCII whitespace") in out.splitlines()
+
+
 def test_repl_learns_contexts(capsys, monkeypatch):
     code, out, _ = repl(capsys, monkeypatch, "2 0=5\n3 0=5\n2 0=5\n")
     assert code == 0

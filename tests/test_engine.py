@@ -582,7 +582,7 @@ def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
         finally:
             inside.pop()
 
-    for name in ("add", "matching_entries"):
+    for name in ("add", "add_on_path", "matching_entries"):
         monkeypatch.setattr(LookupDB, name, counting(name))
     monkeypatch.setattr(Engine, "_extend", tracking_extend)
     size = len(engine.db)

@@ -38,6 +38,11 @@ def loose(ch):
     return f"character {ch!r} is not allowed: numbers are ASCII digits, without '_' or '+'"
 
 
+def separator(ch):
+    """The error for a non-ASCII whitespace character on a data line."""
+    return f"character {ch!r} is not allowed: fields are separated by ASCII whitespace"
+
+
 # -- record and trace format --------------------------------------------------
 
 
@@ -79,6 +84,17 @@ def test_bad_step_messages(text, message):
 def test_parse_trace_skips_blanks_and_comments():
     trace = parse_trace(["# header", "", "1 0=2", "  ", "2"])
     assert [(o.step, dict(o.contexts)) for o in trace] == [(1, {0: 2}), (2, {})]
+
+
+def test_parse_trace_rejects_non_ascii_whitespace_on_a_data_line():
+    # str.strip() takes it as whitespace, but the line is checked before
+    # it is stripped, as the snapshot reader checks its lines.  Blank and
+    # comment lines are not checked.
+    trace = parse_trace(["\u3000", "# \u3000 \xa0", "1 0=2"])
+    assert [(o.step, dict(o.contexts)) for o in trace] == [(1, {0: 2})]
+    with pytest.raises(TraceFormatError) as excinfo:
+        parse_trace(["1", "\u3000", " 2 0=1\u3000"])
+    assert str(excinfo.value) == "line 3: " + separator("\u3000")
 
 
 def test_parse_trace_reports_the_offending_line():

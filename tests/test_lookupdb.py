@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from nextstep import Engine, Observation, PredictorConfig
+from nextstep.engine import EXTENSION_DIRECTIONS
 from nextstep.errors import WindowRangeError
 from nextstep.lookupdb import (
     LookupDB,
@@ -245,10 +247,12 @@ def test_match_agrees_with_brute_force_slices():
         assert got == want, (condition, window_steps, offset)
 
 
-def test_matching_entries_equals_per_entry_matching():
-    # Rules are added between lookups, and before each offset, so the
-    # trie is checked as it grows and not only once it is built.
-    rng = random.Random(7)
+def grown_by_add(rng):
+    """Random rules stored by add(), one before each (db, window, offset).
+
+    Rules are added between lookups, and before each offset, so the
+    trie is checked as it grows and not only once it is built.
+    """
     db = LookupDB()
     seen = set()
 
@@ -265,25 +269,70 @@ def test_matching_entries_equals_per_entry_matching():
         window = window_from([rng.randint(1, 4) for _ in range(rng.randint(0, 10))])
         for offset in range(0, 3):
             add_random_rule()
-            found = db.matching_entries(window, offset)
-            fast = [e.entry_id for e in found]
-            slow = [e.entry_id for e in db if condition_matches(e, window, offset)]
-            assert fast == sorted(slow) == slow
-            # by_length groups the matches by condition length and ends
-            # where no stored condition has the run's newest steps as
-            # its suffix any more.
-            run = [window.step_at(-i) for i in range(offset, len(window))]
-            depth = 0
-            while depth < len(run) and any(
-                e.condition[::-1][:depth + 1] == tuple(run[:depth + 1])
-                for e in db if len(e.condition) > depth
-            ):
-                depth += 1
-            assert len(found.by_length) == depth
-            for length, table in enumerate(found.by_length, start=1):
-                assert table == {e.prediction: e.entry_id for e in found
-                                 if len(e.condition) == length}
-            assert all(len(e.condition) <= depth for e in found)
+            yield db, window, offset
+
+
+def grown_by_engine(direction, capacity):
+    """Rules the engine grows on its walked paths, checked after each learn().
+
+    The trace mostly repeats one lap, so suggestions come true and rules
+    grow children up to the longest the window allows, and sometimes
+    takes a random step, so the walks stop at every depth.
+    """
+    def grow(rng):
+        engine = Engine(
+            PredictorConfig(window_capacity=capacity, extension_direction=direction),
+            steps=(1, 2, 3, 4),
+        )
+        lap = itertools.cycle((1, 2, 3, 1, 4))
+        for _ in range(300):
+            step = next(lap) if rng.random() < 0.8 else rng.randint(1, 4)
+            engine.predict()
+            engine.learn(Observation(step))
+            for offset in range(0, 3):
+                yield engine.db, engine.window, offset
+        assert max(len(e.condition) for e in engine.db) == capacity - 1
+    return grow
+
+
+@pytest.mark.parametrize("grow", [pytest.param(grown_by_add, id="add")] + [
+    pytest.param(grown_by_engine(direction, capacity), id=f"{direction}-{capacity}")
+    for direction in EXTENSION_DIRECTIONS for capacity in (3, 10)
+])
+def test_matching_entries_equals_per_entry_matching(grow):
+    rng = random.Random(7)
+    windows = [window_from([rng.randint(1, 4) for _ in range(rng.randint(0, 10))])
+               for _ in range(8)]
+    for db, window, offset in grow(rng):
+        found = db.matching_entries(window, offset)
+        fast = [e.entry_id for e in found]
+        newest_first = [window.step_at(-i) for i in range(len(window))]
+        slow = [e.entry_id for e in db
+                if brute_match(list(e.condition), newest_first, offset)]
+        assert fast == slow
+        assert slow == [e.entry_id for e in db if condition_matches(e, window, offset)]
+        # path holds the nodes the walk passed: node k holds the matches
+        # of length k + 1, and the path ends where no stored condition
+        # has the run's newest steps as its suffix any more.
+        run = newest_first[offset:]
+        depth = 0
+        while depth < len(run) and any(
+            e.condition[::-1][:depth + 1] == tuple(run[:depth + 1])
+            for e in db if len(e.condition) > depth
+        ):
+            depth += 1
+        assert len(found.path) == depth
+        for length, node in enumerate(found.path, start=1):
+            assert node.rules == {e.prediction: e.entry_id for e in found
+                                  if len(e.condition) == length}
+        assert all(len(e.condition) <= depth for e in found)
+        if offset == 0:
+            # A trie grown in place is the trie add() builds from scratch.
+            readded = LookupDB()
+            for entry in db:
+                readded.add(entry.condition, entry.prediction, entry.p)
+            assert (lookup_state(db, [window] + windows)
+                    == lookup_state(readded, [window] + windows))
 
 
 def test_trie_is_exact_on_a_path_only_a_longer_rule_spelled():
@@ -292,18 +341,18 @@ def test_trie_is_exact_on_a_path_only_a_longer_rule_spelled():
     assert find_entry(db, (2, 3), 4) is None
     assert find_entry(db, (3,), 4) is None
     assert find_entry(db, (1, 2, 3), 2) is None
-    assert db.matching_entries(window_from([2, 3])).by_length == [{}, {}]
+    assert [node.rules for node in db.matching_entries(window_from([2, 3])).path] == [{}, {}]
     entry = db.add((2, 3), 4, 0.25)
     assert find_entry(db, (2, 3), 4) is entry
     assert find_entry(db, (1, 2, 3), 4).entry_id == 0
     found = db.matching_entries(window_from([1, 2, 3]))
     assert [e.entry_id for e in found] == [0, 1]
-    assert found.by_length == [{}, {4: 1}, {4: 0}]
+    assert [node.rules for node in found.path] == [{}, {4: 1}, {4: 0}]
 
 
 def lookup_state(db, windows):
     return [
-        ([e.entry_id for e in found], [dict(table) for table in found.by_length])
+        ([e.entry_id for e in found], [dict(node.rules) for node in found.path])
         for window in windows
         for found in (db.matching_entries(window, offset) for offset in range(3))
     ]

@@ -138,6 +138,11 @@ def loose(ch):
     return f"character {ch!r} is not allowed: numbers are ASCII digits, without '_' or '+'"
 
 
+def separator(ch):
+    """The error for a non-ASCII whitespace character on a data line."""
+    return f"character {ch!r} is not allowed: fields are separated by ASCII whitespace"
+
+
 # (text, line number, message): every raise site of the reader.
 BAD_SNAPSHOTS = [
     ("RULEBOOK v1 alpha=0.8 theta=0.5\n", 1, EXPECTED_HEADER),
@@ -214,6 +219,8 @@ BAD_SNAPSHOTS = [
     (HEADER + ENTRY + "S 0 0 total=1 +5:1\n", 3, loose("+")),
     (HEADER + ENTRY + "S 0 0 total=1 5:\u0661\n", 3, loose("\u0661")),
     (HEADER + ENTRY + "S 0 0 total=10 5_0:10\n", 3, loose("_")),
+    # str.split() takes it as a separator; the format does not.
+    (HEADER + "E 0 cond=1 pred=2 p=0.5\xa0\n", 2, separator("\xa0")),
 ]
 
 
