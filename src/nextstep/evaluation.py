@@ -15,12 +15,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .atomicwrite import write_text_atomically
 from .engine import Engine, PredictorConfig
 from .errors import TraceFormatError, read_utf8
-from .window import Observation, StepId, parse_id, reject_loose_numbers
+from .window import (
+    Observation,
+    StepId,
+    _owning_observation,
+    parse_id,
+    reject_loose_numbers,
+)
 
 # roll_accuracy is the accuracy of the last ROLL_WINDOW scored predictions.
 ROLL_WINDOW = 25
@@ -31,7 +38,8 @@ def parse_record(text: str) -> Observation:
 
     ``text`` is the raw line: its characters are checked before it is
     stripped, so non-ASCII whitespace around the fields is rejected as
-    the snapshot reader rejects it.
+    the snapshot reader rejects it.  The contexts dict is built here,
+    once, and handed to the observation, which owns it from then on.
     """
     # reject_loose_numbers' test, inline, as in lookupdb.parse_snapshot.
     if not text.isascii() or "_" in text or "+" in text:
@@ -55,7 +63,7 @@ def parse_record(text: str) -> Observation:
             if cc in contexts:
                 raise ValueError(f"classification {cc} given twice")
             contexts[cc] = ctx
-    return Observation(step, contexts)
+    return _owning_observation(step, contexts)
 
 
 def format_record(observation: Observation) -> str:
@@ -71,9 +79,15 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
     """Parse trace lines; errors carry the 1-based line number."""
     observations = []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # Skip blank and comment lines.  A data line starts with its step
+        # id, so only a line that starts with whitespace is stripped here.
+        head = raw[:1]
+        if head == "#":
             continue
+        if not head or head.isspace():
+            line = raw.lstrip()
+            if not line or line[0] == "#":
+                continue
         try:
             observations.append(parse_record(raw))
         except ValueError as exc:
@@ -100,10 +114,8 @@ def derive_universes(
     """Step and classification universes actually used by a trace."""
     if not observations:
         raise ValueError("trace is empty")
-    steps = frozenset(obs.step for obs in observations)
-    classifications = frozenset(
-        cc for obs in observations for cc in obs.contexts
-    )
+    steps = frozenset(map(attrgetter("step"), observations))
+    classifications = frozenset().union(*map(attrgetter("contexts"), observations))
     return steps, classifications
 
 

@@ -37,6 +37,23 @@ class Observation:
         object.__setattr__(self, "contexts", dict(self.contexts))
 
 
+def _owning_observation(
+    step: StepId, contexts: dict[ClassificationId, ContextId]
+) -> Observation:
+    """An Observation that takes ``contexts`` over instead of copying it.
+
+    The caller vouches that ``contexts`` is a dict it built itself,
+    shared with nothing, and that it will not touch it again: from here
+    on the observation owns it.  The trace reader builds one fresh dict
+    per record and hands it over this way; every other caller goes
+    through ``Observation(...)``, which copies its mapping.
+    """
+    observation = object.__new__(Observation)
+    object.__setattr__(observation, "step", step)
+    object.__setattr__(observation, "contexts", contexts)
+    return observation
+
+
 class ObservationWindow:
     """Fixed-capacity history of the most recent observations.
 

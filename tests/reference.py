@@ -5,9 +5,19 @@ and dicts: the window keeps newest last, entries are dicts, there is
 no condition index, and every match is a literal slice comparison.
 Agreement between this and the package is what the property tests
 check; the two must never share code.
+
+The trace reader's oracle is the reader as it stood before it was made
+lean: ``parse_record``, ``parse_trace`` and ``derive_universes``, with
+the two number checks they call, copied unchanged.  It builds each
+observation through the public ``Observation`` constructor.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from nextstep.errors import TraceFormatError
+from nextstep.window import Observation
 
 
 def closed_form_correct(p0: float, alpha: float, k: int) -> float:
@@ -185,3 +195,96 @@ class RefEngine:
                      for key, slot in sorted(entry["slots"].items()) if slot}
             out.append((entry["cond"], entry["pred"], entry["p"], slots))
         return out
+
+
+# -- trace reader oracle ----------------------------------------------------
+
+
+def reject_loose_numbers(text: str) -> None:
+    """Reject what int(), float() and str.split() accept beyond the text formats.
+
+    Those are ``_`` digit separators, a leading ``+``, non-ASCII digits
+    and non-ASCII whitespace; a line holding any of them is checked by
+    one test, not token by token.
+    """
+    if text.isascii() and "_" not in text and "+" not in text:
+        return
+    bad = next(ch for ch in text if ch in "_+" or not ch.isascii())
+    if bad.isspace():
+        raise ValueError(
+            f"character {bad!r} is not allowed: fields are separated by ASCII whitespace"
+        )
+    raise ValueError(
+        f"character {bad!r} is not allowed: numbers are ASCII digits, "
+        "without '_' or '+'"
+    )
+
+
+def parse_id(text: str, what: str) -> int:
+    """``text`` as a non-negative id; ``what`` names it in the error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+    if value < 0:
+        raise ValueError(f"{what} {value} must not be negative")
+    return value
+
+
+def parse_record(text: str) -> Observation:
+    """One trace line to an observation; raises ValueError on bad syntax.
+
+    ``text`` is the raw line: its characters are checked before it is
+    stripped, so non-ASCII whitespace around the fields is rejected as
+    the snapshot reader rejects it.
+    """
+    # reject_loose_numbers' test, inline, as in lookupdb.parse_snapshot.
+    if not text.isascii() or "_" in text or "+" in text:
+        reject_loose_numbers(text)
+    step_text, _, rest = text.strip().partition(" ")
+    step = parse_id(step_text, "step")
+    contexts: dict[int, int] = {}
+    rest = rest.strip()
+    if rest:
+        for pair in rest.split(","):
+            cc_text, sep, ctx_text = pair.partition("=")
+            if not sep:
+                raise ValueError(f"bad context pair {pair!r}, expected cc=ctx")
+            try:
+                cc = int(cc_text)
+                ctx = int(ctx_text)
+            except ValueError:
+                raise ValueError(f"bad context pair {pair!r}") from None
+            if cc < 0 or ctx < 0:
+                raise ValueError(f"context pair {pair!r} must not be negative")
+            if cc in contexts:
+                raise ValueError(f"classification {cc} given twice")
+            contexts[cc] = ctx
+    return Observation(step, contexts)
+
+
+def parse_trace(lines: Iterable[str]) -> list[Observation]:
+    """Parse trace lines; errors carry the 1-based line number."""
+    observations = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            observations.append(parse_record(raw))
+        except ValueError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
+    return observations
+
+
+def derive_universes(
+    observations: Sequence[Observation],
+) -> tuple[frozenset[int], frozenset[int]]:
+    """Step and classification universes actually used by a trace."""
+    if not observations:
+        raise ValueError("trace is empty")
+    steps = frozenset(obs.step for obs in observations)
+    classifications = frozenset(
+        cc for obs in observations for cc in obs.contexts
+    )
+    return steps, classifications

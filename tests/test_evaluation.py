@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nextstep.evaluation
 from nextstep import (
@@ -28,6 +30,8 @@ from nextstep.evaluation import (
     parse_trace,
 )
 from nextstep.scenarios import generate_trace
+
+from . import reference
 
 ALPHA = 0.8
 Q = 1.0 - ALPHA
@@ -104,6 +108,96 @@ def test_parse_trace_reports_the_offending_line():
     with pytest.raises(TraceFormatError) as excinfo:
         parse_trace(["# +1_0 \u0663", "1", "1_0 0=+1,1=\u0663"])
     assert str(excinfo.value) == "line 3: " + loose("_")
+
+
+def test_read_records_own_their_contexts():
+    trace = parse_trace(["1 0=2\n", "1 0=2\n", "3\n", "3"])
+    first, second, bare, last = trace
+    assert first == second
+    assert first.contexts is not second.contexts
+    assert bare.contexts == {} and last.contexts == {}
+    assert bare.contexts is not last.contexts
+    for observation in trace + [parse_record("4 1=0")]:
+        built = Observation(observation.step, observation.contexts)
+        assert observation == built
+        assert repr(observation) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            observation.step = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            observation.contexts = {}
+        with pytest.raises(TypeError):
+            hash(observation)
+
+
+# Pieces of trace lines, valid and not: the reader must accept and reject
+# exactly what the reference reader does, with the same line and message.
+# Each piece is well formed in most draws, so that most traces get past
+# their first line and many are read whole.
+def _mostly(good, bad):
+    return st.integers(min_value=0, max_value=7).flatmap(lambda n: bad if n == 0 else good)
+
+
+_SPACE = _mostly(
+    st.sampled_from(["", "", " ", "  ", "\t"]),
+    st.sampled_from(["\u3000", "\xa0", " \u3000"]),
+)
+_NUMBER = _mostly(
+    st.integers(min_value=0, max_value=3).map(str),
+    st.sampled_from(["-0", "-1", "+1", "1_0", "07", "x", "", "\u0663"]),
+)
+_PAIR = _mostly(
+    st.builds(
+        "{}{}{}={}{}".format,
+        st.sampled_from(["", "", "", " "]), _NUMBER, st.sampled_from(["", "", "", " "]),
+        _NUMBER, st.sampled_from(["", "", "", " "]),
+    ),
+    st.one_of(st.just(""), _NUMBER),
+)
+_DATA = st.builds(
+    "{}{}{}{}".format,
+    _SPACE,
+    _NUMBER,
+    _mostly(
+        st.builds(
+            lambda sep, pairs: sep + ",".join(pairs),
+            _mostly(st.just(" "), st.sampled_from(["  ", "\t", "\u3000", "\xa0"])),
+            st.lists(_PAIR, min_size=1, max_size=3),
+        ),
+        st.just(""),
+    ),
+    _SPACE,
+)
+_COMMENT = st.builds(
+    "{}#{}".format, _SPACE, st.sampled_from(["", " x", " 1 0=2", " +1_0 \u0663"])
+)
+_LINE = st.builds(
+    str.__add__,
+    st.one_of(_SPACE, _COMMENT, _DATA, _DATA, _DATA, _DATA),
+    st.sampled_from(["", "\n", "\n", "\r\n"]),
+)
+
+
+def _read(parse, lines):
+    try:
+        return parse(lines), None
+    except TraceFormatError as exc:
+        return None, (exc.line_no, str(exc))
+
+
+@given(st.lists(_LINE, max_size=8))
+def test_reader_agrees_with_the_reference_reader(lines):
+    observations, error = _read(parse_trace, lines)
+    expected, expected_error = _read(reference.parse_trace, lines)
+    assert error == expected_error
+    if error is not None:
+        return
+    assert observations == expected
+    assert [type(o) for o in observations] == [Observation] * len(expected)
+    if expected:
+        assert derive_universes(observations) == reference.derive_universes(expected)
+    else:
+        with pytest.raises(ValueError, match="^trace is empty$"):
+            derive_universes(observations)
 
 
 def test_trace_file_round_trip(tmp_path):
