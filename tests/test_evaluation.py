@@ -172,8 +172,8 @@ _COMMENT = st.builds(
 )
 _LINE = st.builds(
     str.__add__,
-    st.one_of(_SPACE, _COMMENT, _DATA, _DATA, _DATA, _DATA),
-    st.sampled_from(["", "\n", "\n", "\r\n"]),
+    st.one_of(_SPACE, _COMMENT, _DATA),
+    st.sampled_from(["", "\n", "\r\n"]),
 )
 
 
