@@ -40,15 +40,6 @@ from .scenarios import TRACE_KINDS, generate_trace
 from .window import Observation, parse_id, reject_loose_numbers
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse maps its own errors to exit 2; this CLI reserves 2 for
-    bad data, so usage errors exit 1 instead."""
-
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_engine_arguments(
     parser: argparse.ArgumentParser, with_engine_flag: bool
 ) -> None:
@@ -200,11 +191,11 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         raw = sys.stdin.readline()
         if not raw:
             break
-        line = raw.strip()
+        line = raw.lstrip()
         if not line or line.startswith("#"):
             continue
         if line.startswith(":"):
-            next_engine = _repl_command(engine, line)
+            next_engine = _repl_command(engine, line.rstrip())
             if next_engine is None:
                 break
             engine = next_engine
@@ -251,7 +242,7 @@ def _repl_command(engine: Engine, line: str) -> Engine | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="nextstep",
         description="Online next-step prediction over enactment traces.",
     )
@@ -312,7 +303,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # A usage error exits 1, not argparse's 2: 2 means bad data here.
+        return 1 if exc.code else 0
     try:
         return args.handler(args)
     except (NextStepError, OSError) as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
 from .errors import SnapshotFormatError, WindowRangeError, read_utf8
@@ -24,6 +24,7 @@ from .window import (
     ContextId,
     ObservationWindow,
     StepId,
+    _require_id,
     parse_id,
     reject_loose_numbers,
 )
@@ -240,8 +241,7 @@ class LookupDB:
         if not condition:
             raise ValueError("condition must not be empty")
         for step in condition + (prediction,):
-            if not isinstance(step, int) or isinstance(step, bool) or step < 0:
-                raise ValueError(f"step id {step!r} must be a non-negative int")
+            _require_id("step", step)
         if isinstance(p, bool):
             raise ValueError(f"probability {p!r} must be a float, not a bool")
         if not 0.0 <= p <= 1.0:
@@ -438,25 +438,15 @@ def _parse_slot(tokens: list[str], entry: Entry | None, keys: dict[SlotKey, Slot
             per_context[ctx] = count
             summed += count
     except ValueError:
-        _raise_pair_error(tokens[4:])
-    if summed != total:
-        raise ValueError(f"context counts sum to {summed}, total says {total}")
-    entry.slots[key] = ContextSlot(total, per_context)
-
-
-def _raise_pair_error(tokens: list[str]) -> NoReturn:
-    """Raise the error of the first bad ``ctx:count`` token, checked one by one."""
-    seen: set[int] = set()
-    for token in tokens:
-        ctx_text, _, count_text = token.partition(":")
+        # The loop stopped at the first bad pair; name what is wrong with it.
         ctx = parse_id(ctx_text, "context id")
         count = parse_id(count_text, "context count")
         if count < 1:
             raise ValueError(f"context count {count} must be positive")
-        if ctx in seen:
-            raise ValueError(f"duplicate context {ctx} in slot")
-        seen.add(ctx)
-    raise AssertionError(f"no bad pair among {tokens!r}")
+        raise ValueError(f"duplicate context {ctx} in slot")
+    if summed != total:
+        raise ValueError(f"context counts sum to {summed}, total says {total}")
+    entry.slots[key] = ContextSlot(total, per_context)
 
 
 def _field_value(token: str, name: str) -> str:

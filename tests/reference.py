@@ -10,11 +10,15 @@ The trace reader's oracle is the reader as it stood before it was made
 lean: ``parse_record``, ``parse_trace`` and ``derive_universes``, with
 the two number checks they call, copied unchanged.  It builds each
 observation through the public ``Observation`` constructor.
+
+The snapshot slot reader's oracle is the ``ctx:count`` pair loop of
+``lookupdb._parse_slot`` and the second walk over the tokens that named
+its error, as they stood before that error was named in one pass.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from nextstep.errors import TraceFormatError
 from nextstep.window import Observation
@@ -288,3 +292,39 @@ def derive_universes(
         cc for obs in observations for cc in obs.contexts
     )
     return steps, classifications
+
+
+# -- snapshot slot pair oracle ----------------------------------------------
+
+
+def parse_pairs(tokens: list[str]) -> tuple[dict[int, int], int]:
+    """A slot line's ``ctx:count`` tokens as per-context counts and their sum."""
+    per_context: dict[int, int] = {}
+    summed = 0
+    try:
+        for token in tokens:
+            ctx_text, _, count_text = token.partition(":")
+            ctx = int(ctx_text)
+            count = int(count_text)
+            if ctx < 0 or count < 1 or ctx in per_context:
+                raise ValueError
+            per_context[ctx] = count
+            summed += count
+    except ValueError:
+        _raise_pair_error(tokens)
+    return per_context, summed
+
+
+def _raise_pair_error(tokens: list[str]) -> NoReturn:
+    """Raise the error of the first bad ``ctx:count`` token, checked one by one."""
+    seen: set[int] = set()
+    for token in tokens:
+        ctx_text, _, count_text = token.partition(":")
+        ctx = parse_id(ctx_text, "context id")
+        count = parse_id(count_text, "context count")
+        if count < 1:
+            raise ValueError(f"context count {count} must be positive")
+        if ctx in seen:
+            raise ValueError(f"duplicate context {ctx} in slot")
+        seen.add(ctx)
+    raise AssertionError(f"no bad pair among {tokens!r}")

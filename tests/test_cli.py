@@ -72,10 +72,42 @@ def test_gen_rejects_unknown_scenario(capsys):
     assert code == 1
 
 
-def test_unknown_flag_is_a_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "gen", "--scenario", "a", "--components", "1",
-                         "--frobnicate")
-    assert code == 1
+TOP_USAGE = "usage: nextstep [-h] {gen,run,compare,repl,db-inspect} ...\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["gen", "--scenario", "a", "--components", "1", "--frobnicate"],
+     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
+    (["run", "trace.txt", "--frobnicate"],
+     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
+    (["repl", "--engine", "bogus"],
+     "usage: nextstep repl [-h] [--load PATH] [--steps STEPS]\n"
+     "                     [--classifications CLASSIFICATIONS] [--alpha ALPHA]\n"
+     "                     [--theta THETA] [--window-capacity WINDOW_CAPACITY]\n"
+     "                     [--engine {context,baseline}]\n"
+     "                     [--extension-direction {append-observation,extend-into-past}]\n"
+     "nextstep repl: error: argument --engine: invalid choice: 'bogus'"
+     " (choose from 'context', 'baseline')\n"),
+    (["compare", "trace.txt"],
+     "usage: nextstep compare [-h] --output-prefix OUTPUT_PREFIX [--alpha ALPHA]\n"
+     "                        [--theta THETA] [--window-capacity WINDOW_CAPACITY]\n"
+     "                        [--extension-direction {append-observation,extend-into-past}]\n"
+     "                        trace\n"
+     "nextstep compare: error: the following arguments are required: --output-prefix\n"),
+    ([], TOP_USAGE + "nextstep: error: the following arguments are required: command\n"),
+], ids=["gen-unknown-flag", "run-unknown-flag", "repl-bad-engine", "compare-no-prefix",
+        "no-command"])
+def test_unknown_flag_is_a_usage_error(capsys, monkeypatch, argv, err):
+    # argparse wraps usage lines to the terminal's width; COLUMNS fixes it.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (1, "", err)
+
+
+def test_help_exits_zero(capsys):
+    # `run --help` is pinned by test_run_help_shows_the_config_defaults.
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: nextstep [-h]")
 
 
 # -- run -------------------------------------------------------------------
@@ -426,6 +458,20 @@ def test_repl_db_command_lists_rules(capsys, monkeypatch):
     assert code == 0
     assert "1 entries" in out
     assert "cond=2 pred=3 p=0.200" in out
+
+
+@pytest.mark.parametrize("script,out", [
+    ("2\n3\n  :db\n", ["no suggestion"] * 3 + ["1 entries", "cond=2 pred=3 p=0.200"]
+     + ["no suggestion"]),
+    ("2\n:quit \r\n3\n", ["no suggestion"] * 2),
+    ("2\n3\n\t# note\n2\n", ["no suggestion"] * 4
+     + ["suggestion: step=3 actual_p=0.200000 cond=2"]),
+    (" 1 0=2\n 2 0=2\n:db\n", ["no suggestion"] * 3
+     + ["1 entries", "cond=1 pred=2 p=0.200 | 0,0=2:1.00", "no suggestion"]),
+], ids=["indented-command", "command-crlf", "indented-comment", "indented-record"])
+def test_repl_reads_lines_with_surrounding_whitespace(capsys, monkeypatch, script, out):
+    code, stdout, _ = repl(capsys, monkeypatch, script)
+    assert (code, stdout.splitlines()) == (0, out)
 
 
 def test_repl_unknown_meta_command_is_reported(capsys, monkeypatch):

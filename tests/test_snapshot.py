@@ -8,12 +8,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 import nextstep.lookupdb
 from nextstep import Observation, PredictorConfig, read_snapshot, run_trace, write_snapshot
 from nextstep.errors import SnapshotFormatError
 from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
 from nextstep.scenarios import generate_trace
+
+from . import reference
 
 
 def small_db():
@@ -199,6 +202,8 @@ BAD_SNAPSHOTS = [
     # The first bad pair names the error, not a later one.
     (HEADER + ENTRY + "S 0 0 total=2 5:1 5:1 x:1\n", 3, "duplicate context 5 in slot"),
     (HEADER + ENTRY + "S 0 0 total=2 5:0 x:1\n", 3, "context count 0 must be positive"),
+    # A repeated context with a count of 0 is named by its count.
+    (HEADER + ENTRY + "S 0 0 total=2 5:1 5:0\n", 3, "context count 0 must be positive"),
     # int() and float() take '_' separators, a '+' sign and non-ASCII
     # digits; the format does not, in any number of any line.
     ("LOOKUPDB v1 alpha=0.8_0 theta=0.5\n", 1, loose("_")),
@@ -222,6 +227,29 @@ BAD_SNAPSHOTS = [
     # str.split() takes it as a separator; the format does not.
     (HEADER + "E 0 cond=1 pred=2 p=0.5\xa0\n", 2, separator("\xa0")),
 ]
+
+
+# 1-4 pairs: up to two good ones over two contexts, so that contexts
+# repeat, then one or two of any shape, malformed ones mostly on context 5.
+_GOOD_PAIR = st.sampled_from(["0:1", "5:1", "5:2"])
+_SLOT_PAIR = st.one_of(
+    _GOOD_PAIR, st.sampled_from(["x", "-5", "5:0", "5:-1", "5", "5:1:1", ":1", "5:x"])
+)
+
+
+@given(st.lists(_GOOD_PAIR, max_size=2), st.lists(_SLOT_PAIR, min_size=1, max_size=2))
+def test_slot_pairs_read_as_the_two_pass_reader_reads_them(good, rest):
+    tokens = good + rest
+    try:
+        per_context, total = reference.parse_pairs(tokens)
+    except ValueError as exc:
+        text = HEADER + ENTRY + f"S 0 0 total=1 {' '.join(tokens)}\n"
+        with pytest.raises(SnapshotFormatError) as excinfo:
+            parse_snapshot(text)
+        assert str(excinfo.value) == f"line 3: {exc}"
+        return
+    db, _, _ = parse_snapshot(HEADER + ENTRY + f"S 0 0 total={total} {' '.join(tokens)}\n")
+    assert db.entry(0).slots == {(0, 0): ContextSlot(total, per_context)}
 
 
 def test_bad_condition_id_is_named_with_its_line():
