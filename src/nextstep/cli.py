@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="style generator seed for --scenario mix, default 0")
     gen.add_argument("--output", default="-",
                      help="trace file to write, - for stdout")
-    gen.set_defaults(handler=_cmd_gen)
+    gen.set_defaults(handler=_cmd_gen, parser=gen)
 
     run = commands.add_parser("run", help="replay a trace file, emit metrics")
     run.add_argument("trace", help="trace file to replay")
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save-db", default=None, metavar="PATH",
                      help="write the trained rule database snapshot here")
     _add_engine_arguments(run, with_engine_flag=True)
-    run.set_defaults(handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run, parser=run)
 
     compare = commands.add_parser(
         "compare", help="replay with and without context, emit CSVs and SVG"
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--output-prefix", required=True,
                          help="writes <prefix>_context.csv, <prefix>_baseline.csv, <prefix>.svg")
     _add_engine_arguments(compare, with_engine_flag=False)
-    compare.set_defaults(handler=_cmd_compare)
+    compare.set_defaults(handler=_cmd_compare, parser=compare)
 
     repl = commands.add_parser(
         "repl", help="interactive loop: suggestion out, observation in"
@@ -289,11 +289,11 @@ def _build_parser() -> argparse.ArgumentParser:
     repl.add_argument("--classifications", default="0,1",
                       help="comma-separated classification universe, default 0,1")
     _add_engine_arguments(repl, with_engine_flag=True)
-    repl.set_defaults(handler=_cmd_repl)
+    repl.set_defaults(handler=_cmd_repl, parser=repl)
 
     inspect = commands.add_parser("db-inspect", help="print a snapshot's rules")
     inspect.add_argument("snapshot", help="database snapshot to read")
-    inspect.set_defaults(handler=_cmd_db_inspect)
+    inspect.set_defaults(handler=_cmd_db_inspect, parser=inspect)
 
     return parser
 
@@ -301,7 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # Subparsers hand these to the top parser: name the subcommand.
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         # A usage error exits 1, not argparse's 2: 2 means bad data here.
         return 1 if exc.code else 0

@@ -14,6 +14,7 @@ from operator import attrgetter
 from typing import Iterable
 
 from .lookupdb import (
+    ContextTable,
     Entry,
     LookupDB,
     Matches,
@@ -118,37 +119,35 @@ class Engine:
                         f"entry {entry.entry_id} uses classification {cc!r}, "
                         "which is not declared"
                     )
-        # Grown by _keys() as the window fills: every rule's counters
+        # Grown by _state() as the window fills: every rule's counters
         # reuse these keys, and their sorted order keeps evidence order
         # stable.
         self._slot_keys: list[tuple[tuple[ClassificationId, SlotKey], ...]] = []
         self._last_prediction: StepId | None = None
-        # The last lookup's matches and the state they belong to: the
-        # db, its size, the window and its push count.  LookupDB and
+        # The last state read and the state it belongs to: the db, its
+        # size, the window and its push count.  LookupDB and
         # ObservationWindow define no __eq__, so stamps compare them by
         # identity.
-        self._matches_stamp: tuple[LookupDB, int, ObservationWindow, int] | None = None
-        self._matches_memo = Matches()
+        self._stamp: tuple[LookupDB, int, ObservationWindow, int] | None = None
+        self._memo: tuple[Matches, ContextTable, SlotKeys] = (Matches(), [], [])
 
-    def _matches(self) -> Matches:
-        """Entries matching the window now, id ascending; do not modify.
+    def _state(self) -> tuple[Matches, ContextTable, SlotKeys]:
+        """The window's matches (id ascending), context table and slot keys.
 
-        Rules are only ever added, so the list is looked up again only
-        when the db, its size, the window or its push count changed:
-        predict(), learn() and extension share one lookup per state.
+        None of them may be modified.  Rules are only ever added, so the
+        state is read again only when the db, its size, the window or
+        its push count changed: predict(), learn() and extension share
+        one read per state.
         """
-        stamp = (self.db, len(self.db), self.window, self.window.pushes)
-        if stamp != self._matches_stamp:
-            self._matches_stamp = stamp
-            self._matches_memo = self.db.matching_entries(self.window)
-        return self._matches_memo
-
-    def _keys(self) -> SlotKeys:
-        """slot_keys() for the positions the window holds, grown per push."""
-        keys = self._slot_keys
-        if len(keys) < len(self.window):
-            keys.extend(slot_keys(self.classifications, len(self.window), len(keys)))
-        return keys
+        window = self.window
+        stamp = (self.db, len(self.db), window, window.pushes)
+        if stamp != self._stamp:
+            keys = self._slot_keys
+            if len(keys) < len(window):
+                keys.extend(slot_keys(self.classifications, len(window), len(keys)))
+            self._stamp = stamp
+            self._memo = (self.db.matching_entries(window), window.context_table(), keys)
+        return self._memo
 
     def predict(self) -> PredictionResult | None:
         """Suggest the next step, or None when no rule matches.
@@ -161,10 +160,8 @@ class Engine:
         match can win.  An equal p can still tie, so it is scored.
         The suggestion is remembered and scored by the next learn().
         """
-        matches = self._matches()
+        matches, table, keys = self._state()
         scoring = self.config.engine_mode == "context"
-        table = self.window.context_table() if scoring else None
-        keys = self._keys() if scoring else None
         best: Entry | None = None
         best_key: tuple[float, int, float, int] | None = None
         best_actual_p = 0.0
@@ -203,9 +200,7 @@ class Engine:
         span it matched; a rule that missed counts nothing.
         """
         window = self.window
-        matches = self._matches()
-        table = window.context_table()
-        keys = self._keys()
+        matches, table, keys = self._state()
         previous = window.step_at(0) if table else None
         window.push(observation)
         step = observation.step
@@ -225,7 +220,7 @@ class Engine:
             # Taken before any rule is stored: the pushed nodes are
             # live, and the fresh pair rule lands on their path when
             # previous == step.
-            pushed = self._matches()
+            pushed = self._state()[0]
             inherit_p = self._inherited_p(pushed)
         # The pair rule (previous,)->step sits at the pre-push walk's
         # first node, if the walk got that far.  A copy of that one-node
@@ -248,12 +243,10 @@ class Engine:
         now.  With no such rule it is 1 - alpha, the p of a fresh pair
         rule.
         """
-        entry = self.db.entry
-        path = pushed.path
-        for length in range(len(path), 0, -1):
+        for node in reversed(pushed.path):
             best = 0.0
-            for entry_id in path[length - 1].rules.values():
-                p = entry(entry_id).p
+            for entry in node.rules.values():
+                p = entry.p
                 if p > best:
                     best = p
             if best > 0.0:

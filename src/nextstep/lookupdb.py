@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .atomicwrite import write_text_atomically
@@ -38,6 +39,8 @@ SlotKey = tuple[ClassificationId, int]
 # keys[pos] pairs every classification, ascending, with its slot key at
 # condition index -pos; see slot_keys().
 SlotKeys = Sequence[Sequence[tuple[ClassificationId, SlotKey]]]
+# ObservationWindow.context_table(): context mappings, newest first.
+ContextTable = Sequence[Mapping[ClassificationId, ContextId]]
 
 
 @dataclass(slots=True)
@@ -105,7 +108,7 @@ def slot_keys(
 
 def context_fit(
     entry: Entry,
-    table: Sequence[Mapping[ClassificationId, ContextId]],
+    table: ContextTable,
     keys: SlotKeys,
     theta: float,
 ) -> list[float] | None:
@@ -148,7 +151,7 @@ def context_fit(
 
 def record_contexts(
     entry: Entry,
-    table: Sequence[Mapping[ClassificationId, ContextId]],
+    table: ContextTable,
     keys: SlotKeys,
 ) -> None:
     """Count the table's contexts into the entry's per-index slots.
@@ -183,7 +186,7 @@ class Matches(list):
     """LookupDB.matching_entries' result: the matching entries, id ascending.
 
     ``path[k]`` is the trie node the walk reached after ``k + 1`` steps:
-    its ``rules`` map prediction to entry id for the rules whose
+    its ``rules`` map prediction to entry for the rules whose
     condition is the ``k + 1`` newest steps of the matched run.  A
     length past the end of the path has no rule.  The nodes are the
     trie's own and stay live: a rule added later on the same path shows
@@ -203,8 +206,8 @@ class _Node:
 
     def __init__(self) -> None:
         self.children: dict[StepId, _Node] = {}
-        # prediction -> entry id of every rule with this node's condition
-        self.rules: dict[StepId, int] = {}
+        # prediction -> entry of every rule with this node's condition
+        self.rules: dict[StepId, Entry] = {}
 
 
 class LookupDB:
@@ -282,7 +285,7 @@ class LookupDB:
             )
         entry = Entry(len(self._entries), condition, prediction, p)
         self._entries.append(entry)
-        node.rules[prediction] = entry.entry_id
+        node.rules[prediction] = entry
         return entry
 
     def matching_entries(self, window: ObservationWindow, offset: int = 0) -> Matches:
@@ -294,8 +297,8 @@ class LookupDB:
         through come back as the result's ``path``.
         """
         node = self._root
-        path: list[_Node] = []
-        ids: list[int] = []
+        matches = Matches()
+        path = matches.path = []
         for observation in window.newest_first(offset):
             node = node.children.get(observation.step)
             if node is None:
@@ -303,10 +306,8 @@ class LookupDB:
             path.append(node)
             rules = node.rules
             if rules:
-                ids.extend(rules.values())
-        ids.sort()
-        matches = Matches(map(self._entries.__getitem__, ids))
-        matches.path = path
+                matches.extend(rules.values())
+        matches.sort(key=attrgetter("entry_id"))
         return matches
 
 

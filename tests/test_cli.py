@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,9 +80,17 @@ TOP_USAGE = "usage: nextstep [-h] {gen,run,compare,repl,db-inspect} ...\n"
 
 @pytest.mark.parametrize("argv,err", [
     (["gen", "--scenario", "a", "--components", "1", "--frobnicate"],
-     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
+     "usage: nextstep gen [-h] --scenario {a,b,mix} --components COMPONENTS\n"
+     "                    [--requirements REQUIREMENTS] [--seed SEED]\n"
+     "                    [--output OUTPUT]\n"
+     "nextstep gen: error: unrecognized arguments: --frobnicate\n"),
     (["run", "trace.txt", "--frobnicate"],
-     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
+     "usage: nextstep run [-h] [--output OUTPUT] [--save-db PATH] [--alpha ALPHA]\n"
+     "                    [--theta THETA] [--window-capacity WINDOW_CAPACITY]\n"
+     "                    [--engine {context,baseline}]\n"
+     "                    [--extension-direction {append-observation,extend-into-past}]\n"
+     "                    trace\n"
+     "nextstep run: error: unrecognized arguments: --frobnicate\n"),
     (["repl", "--engine", "bogus"],
      "usage: nextstep repl [-h] [--load PATH] [--steps STEPS]\n"
      "                     [--classifications CLASSIFICATIONS] [--alpha ALPHA]\n"
@@ -108,6 +119,18 @@ def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (0, "")
     assert out.startswith("usage: nextstep [-h]")
+
+
+def test_python_dash_m_runs_the_cli_and_carries_its_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    help_run, no_trace = (
+        subprocess.run([sys.executable, "-m", "nextstep", *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+        for argv in (["--help"], ["run"])
+    )
+    assert help_run.returncode == 0
+    assert help_run.stdout.startswith("usage: nextstep")
+    assert no_trace.returncode == 1
 
 
 # -- run -------------------------------------------------------------------
@@ -474,10 +497,16 @@ def test_repl_reads_lines_with_surrounding_whitespace(capsys, monkeypatch, scrip
     assert (code, stdout.splitlines()) == (0, out)
 
 
-def test_repl_unknown_meta_command_is_reported(capsys, monkeypatch):
-    code, out, _ = repl(capsys, monkeypatch, ":frobnicate\n:quit\n")
-    assert code == 0
-    assert "error:" in out
+@pytest.mark.parametrize("command,error", [
+    (":frobnicate", "error: unknown command ':frobnicate'"),
+    (":save", "error: :save needs a path"),
+    (":load", "error: :load needs a path"),
+], ids=["unknown", "save-without-path", "load-without-path"])
+def test_repl_unknown_meta_command_is_reported(capsys, monkeypatch, command, error):
+    # The engine is kept: the rule learned before the command still suggests.
+    code, out, _ = repl(capsys, monkeypatch, f"2\n3\n{command}\n2\n:quit\n")
+    assert (code, out.splitlines()) == (0, ["no suggestion"] * 3 + [error] + [
+        "no suggestion", "suggestion: step=3 actual_p=0.200000 cond=2"])
 
 
 def test_repl_missing_load_file_is_a_data_error(capsys, monkeypatch, tmp_path):

@@ -619,6 +619,25 @@ def test_children_inherit_p_from_rules_older_than_the_fresh_pair_rule(direction)
     assert [c.p for c in children] == [ALPHA * 0.16] * 2
 
 
+@pytest.mark.parametrize("direction,child", [
+    ("append-observation", (1, 2)), ("extend-into-past", (3, 1)),
+], ids=["append-observation", "extend-into-past"])
+def test_children_with_no_rule_to_inherit_from_start_at_one_minus_alpha(direction, child):
+    # After the push the window ends in 2, and no rule's condition ends
+    # in 2, so the child starts at 1 - alpha, the p of a fresh pair rule.
+    db = LookupDB()
+    db.add((1,), 2, 0.5)
+    engine = make_engine(steps=(1, 2, 3), classifications=(), db=db,
+                         extension_direction=direction)
+    shadow = make_shadow(classifications=(), direction=direction)
+    shadow.entries = [{"cond": (1,), "pred": 2, "p": 0.5, "slots": {}}]
+    run_lockstep(engine, shadow, [(3, {}), (1, {})])
+    assert engine.predict().step == shadow.predict()[0] == 2
+    assert engine.learn(Observation(2)) is shadow.learn(2, {}) is True
+    assert engine_state(engine) == shadow.state()
+    assert find_entry(engine.db, child, 2).p == 1.0 - ALPHA
+
+
 # -- baseline equivalence --------------------------------------------------------
 
 
@@ -935,6 +954,34 @@ def test_a_mature_step_looks_the_window_up_once(monkeypatch, direction):
     assert predictions == lap * 10
     assert len(engine.db) == size
     assert calls == [0] * 30
+
+
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_a_mature_context_step_reads_the_context_table_once(monkeypatch, direction):
+    engine = make_engine(steps=(1, 2, 3), classifications=(0,),
+                         extension_direction=direction)
+    lap = [1, 2, 3]
+    contexts = [{0: step} for step in lap]
+    for _ in range(300):
+        size = len(engine.db)
+        feed(engine, lap, contexts)
+        if len(engine.db) == size:
+            break
+    else:
+        pytest.fail("the rule database never stopped growing")
+    calls = []
+    original = ObservationWindow.context_table
+
+    def counting(window):
+        calls.append(window)
+        return original(window)
+
+    monkeypatch.setattr(ObservationWindow, "context_table", counting)
+    size = len(engine.db)
+    predictions = feed(engine, lap * 10, contexts * 10)
+    assert predictions == lap * 10
+    assert len(engine.db) == size
+    assert calls == [engine.window] * 30
 
 
 def test_counters_stay_conserved_on_random_traffic():

@@ -323,8 +323,8 @@ def test_matching_entries_equals_per_entry_matching(grow):
             depth += 1
         assert len(found.path) == depth
         for length, node in enumerate(found.path, start=1):
-            assert node.rules == {e.prediction: e.entry_id for e in found
-                                  if len(e.condition) == length}
+            assert node_ids(node) == {e.prediction: e.entry_id for e in found
+                                      if len(e.condition) == length}
         assert all(len(e.condition) <= depth for e in found)
         if offset == 0:
             # A trie grown in place is the trie add() builds from scratch.
@@ -341,18 +341,24 @@ def test_trie_is_exact_on_a_path_only_a_longer_rule_spelled():
     assert find_entry(db, (2, 3), 4) is None
     assert find_entry(db, (3,), 4) is None
     assert find_entry(db, (1, 2, 3), 2) is None
-    assert [node.rules for node in db.matching_entries(window_from([2, 3])).path] == [{}, {}]
+    assert [node_ids(node) for node in db.matching_entries(window_from([2, 3])).path] == [{}, {}]
     entry = db.add((2, 3), 4, 0.25)
     assert find_entry(db, (2, 3), 4) is entry
     assert find_entry(db, (1, 2, 3), 4).entry_id == 0
     found = db.matching_entries(window_from([1, 2, 3]))
     assert [e.entry_id for e in found] == [0, 1]
-    assert [node.rules for node in found.path] == [{}, {4: 1}, {4: 0}]
+    assert [node_ids(node) for node in found.path] == [{}, {4: 1}, {4: 0}]
+    assert found.path[1].rules[4] is entry
+
+
+def node_ids(node):
+    """A trie node's rules as prediction -> entry id."""
+    return {prediction: entry.entry_id for prediction, entry in node.rules.items()}
 
 
 def lookup_state(db, windows):
     return [
-        ([e.entry_id for e in found], [dict(node.rules) for node in found.path])
+        ([e.entry_id for e in found], [node_ids(node) for node in found.path])
         for window in windows
         for found in (db.matching_entries(window, offset) for offset in range(3))
     ]
