@@ -35,7 +35,7 @@ from .evaluation import (
     render_comparison_svg,
     run_trace,
 )
-from .lookupdb import LookupDB, read_snapshot, write_snapshot
+from .lookupdb import LookupDB, read_snapshot, split_slot_key, write_snapshot
 from .scenarios import TRACE_KINDS, generate_trace
 from .window import Observation, parse_id, reject_loose_numbers
 
@@ -151,7 +151,8 @@ def _inspect_lines(db: LookupDB) -> list[str]:
     for entry in ordered:
         cond = ",".join(str(step) for step in entry.condition)
         line = f"cond={cond} pred={entry.prediction} p={entry.p:.3f}"
-        for (cc, index), slot in sorted(entry.slots.items()):
+        for key, slot in sorted(entry.slots.items()):
+            cc, index = split_slot_key(key)
             top_ctx = min(
                 slot.per_context, key=lambda ctx: (-slot.per_context[ctx], ctx)
             )
@@ -241,12 +242,30 @@ def _repl_command(engine: Engine, line: str) -> Engine | None:
     return engine
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it names its own unknown arguments.
+
+    argparse's subparsers hand arguments they do not know back to the
+    top parser, which would report them under the top usage.  What is
+    left for the top parser are the arguments given before the
+    subcommand, which are its own.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nextstep",
         description="Online next-step prediction over enactment traces.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     gen = commands.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("--scenario", choices=TRACE_KINDS, required=True,
@@ -259,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="style generator seed for --scenario mix, default 0")
     gen.add_argument("--output", default="-",
                      help="trace file to write, - for stdout")
-    gen.set_defaults(handler=_cmd_gen, parser=gen)
+    gen.set_defaults(handler=_cmd_gen)
 
     run = commands.add_parser("run", help="replay a trace file, emit metrics")
     run.add_argument("trace", help="trace file to replay")
@@ -268,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--save-db", default=None, metavar="PATH",
                      help="write the trained rule database snapshot here")
     _add_engine_arguments(run, with_engine_flag=True)
-    run.set_defaults(handler=_cmd_run, parser=run)
+    run.set_defaults(handler=_cmd_run)
 
     compare = commands.add_parser(
         "compare", help="replay with and without context, emit CSVs and SVG"
@@ -277,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--output-prefix", required=True,
                          help="writes <prefix>_context.csv, <prefix>_baseline.csv, <prefix>.svg")
     _add_engine_arguments(compare, with_engine_flag=False)
-    compare.set_defaults(handler=_cmd_compare, parser=compare)
+    compare.set_defaults(handler=_cmd_compare)
 
     repl = commands.add_parser(
         "repl", help="interactive loop: suggestion out, observation in"
@@ -289,11 +308,11 @@ def _build_parser() -> argparse.ArgumentParser:
     repl.add_argument("--classifications", default="0,1",
                       help="comma-separated classification universe, default 0,1")
     _add_engine_arguments(repl, with_engine_flag=True)
-    repl.set_defaults(handler=_cmd_repl, parser=repl)
+    repl.set_defaults(handler=_cmd_repl)
 
     inspect = commands.add_parser("db-inspect", help="print a snapshot's rules")
     inspect.add_argument("snapshot", help="database snapshot to read")
-    inspect.set_defaults(handler=_cmd_db_inspect, parser=inspect)
+    inspect.set_defaults(handler=_cmd_db_inspect)
 
     return parser
 
@@ -301,10 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # Subparsers hand these to the top parser: name the subcommand.
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # A usage error exits 1, not argparse's 2: 2 means bad data here.
         return 1 if exc.code else 0

@@ -23,6 +23,7 @@ from .lookupdb import (
     context_fit,
     record_contexts,
     slot_keys,
+    split_slot_key,
 )
 from .errors import UnknownIdError
 from .window import (
@@ -47,6 +48,12 @@ class PredictorConfig:
     extension_direction: str = "append-observation"
 
     def __post_init__(self) -> None:
+        # A bool is an int to Python and would pass the range checks as
+        # 0 or 1; it is rejected, as LookupDB.add rejects a bool p.
+        for name in ("alpha", "theta"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not 0.0 <= self.theta < 1.0:
@@ -113,7 +120,8 @@ class Engine:
                         f"entry {entry.entry_id} uses step {step!r}, "
                         "which is not declared"
                     )
-            for cc, _ in entry.slots:
+            for key in entry.slots:
+                cc, _ = split_slot_key(key)
                 if cc not in self.classifications:
                     raise UnknownIdError(
                         f"entry {entry.entry_id} uses classification {cc!r}, "

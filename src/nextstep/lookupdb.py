@@ -33,9 +33,9 @@ from .window import (
 SNAPSHOT_MAGIC = "LOOKUPDB"
 SNAPSHOT_VERSION = "v1"
 
-# Slot key: (classification id, condition index <= 0, 0 being the
-# newest condition element).
-SlotKey = tuple[ClassificationId, int]
+# Slot key: the pair (classification id, condition index <= 0, 0 being
+# the newest condition element) packed into one int by slot_key().
+SlotKey = int
 # keys[pos] pairs every classification, ascending, with its slot key at
 # condition index -pos; see slot_keys().
 SlotKeys = Sequence[Sequence[tuple[ClassificationId, SlotKey]]]
@@ -67,6 +67,7 @@ class Entry:
     condition: tuple[StepId, ...]
     prediction: StepId
     p: float
+    # slot_key(cc, index) -> that classification's counters at that index
     slots: dict[SlotKey, ContextSlot] = field(default_factory=dict)
 
 
@@ -93,17 +94,49 @@ def _table_too_short(length: int, rows: int) -> WindowRangeError:
     )
 
 
+# slot_key()'s low field: 32 bits holding the condition index plus this.
+_INDEX_BITS = 32
+_INDEX_OFFSET = (1 << _INDEX_BITS) - 1
+
+
+def slot_key(cc: ClassificationId, index: int) -> SlotKey:
+    """The counter key of classification ``cc`` at condition index ``index``.
+
+    The key is one int: ``cc`` in the bits above the low 32, and
+    ``index + 2**32 - 1`` in the low 32 bits.  ``cc`` is an id (>= 0)
+    and ``index`` must lie in [-(2**32 - 1), 0], so the low field never
+    reaches the classification's bits: split_slot_key() inverts the
+    key exactly, and keys sort exactly as their pairs do.  An int key
+    is hashed in constant time, where a tuple key is hashed again on
+    every dict lookup.  The index is not checked here: slot_keys()
+    takes it from a window position and parse_snapshot() checks it
+    against the condition's length, and no window or condition comes
+    near 2**32 steps.
+    """
+    return cc << _INDEX_BITS | index + _INDEX_OFFSET
+
+
+def split_slot_key(key: SlotKey) -> tuple[ClassificationId, int]:
+    """The ``(cc, index)`` pair slot_key() packed into ``key``."""
+    return key >> _INDEX_BITS, (key & _INDEX_OFFSET) - _INDEX_OFFSET
+
+
 def slot_keys(
     classifications: Iterable[ClassificationId], stop: int, start: int = 0
 ) -> tuple[tuple[tuple[ClassificationId, SlotKey], ...], ...]:
     """Slot keys for window positions ``start`` up to ``stop``.
 
-    Each item holds ``(cc, (cc, -pos))`` for every classification in
-    ascending order, for ``pos`` in ``range(start, stop)``: the counters
-    of the condition element ``pos`` positions before the newest one.
+    Each item holds ``(cc, slot_key(cc, -pos))`` for every
+    classification in ascending order, for ``pos`` in
+    ``range(start, stop)``: the counters of the condition element
+    ``pos`` positions before the newest one.  The engine builds them
+    once per window position, so the counting and scoring loops look
+    counters up by a premade int.
     """
     order = sorted(classifications)
-    return tuple(tuple((cc, (cc, -pos)) for cc in order) for pos in range(start, stop))
+    return tuple(
+        tuple((cc, slot_key(cc, -pos)) for cc in order) for pos in range(start, stop)
+    )
 
 
 def context_fit(
@@ -312,16 +345,30 @@ class LookupDB:
 
 
 def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
-    """Canonical snapshot text, each line ending in a newline."""
-    lines = [f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} alpha={alpha!r} theta={theta!r}\n"]
+    """Canonical snapshot text, each line ending in a newline.
+
+    ``alpha`` and ``theta`` are written as floats, as parse_snapshot
+    reads them back, so an int 0 re-dumps as the same ``0.0``.
+    """
+    lines = [
+        f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
+        f"alpha={float(alpha)!r} theta={float(theta)!r}\n"
+    ]
+    # "S <cc> <index> total=" of each distinct slot key, decoded once.
+    heads: dict[SlotKey, str] = {}
     for entry in db:
         cond = ",".join(str(step) for step in entry.condition)
         lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
-        for (cc, index), slot in sorted(entry.slots.items()):
+        # Int keys sort as their (cc, index) pairs do.
+        for key, slot in sorted(entry.slots.items()):
+            head = heads.get(key)
+            if head is None:
+                cc, index = split_slot_key(key)
+                head = heads[key] = f"S {cc} {index} total="
             pairs = " ".join(
                 f"{ctx}:{count}" for ctx, count in sorted(slot.per_context.items())
             )
-            lines.append(f"S {cc} {index} total={slot.total} {pairs}\n")
+            lines.append(f"{head}{slot.total} {pairs}\n")
     return "".join(lines)
 
 
@@ -348,7 +395,8 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     alpha: float | None = None
     theta = 0.0
     current: Entry | None = None
-    keys: dict[SlotKey, SlotKey] = {}  # one shared tuple per distinct slot key
+    # One shared int per distinct slot key, made once per (cc, index).
+    keys: dict[tuple[ClassificationId, int], SlotKey] = {}
     for line_no, raw in enumerate(source, start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -411,7 +459,9 @@ def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
     return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
 
 
-def _parse_slot(tokens: list[str], entry: Entry | None, keys: dict[SlotKey, SlotKey]) -> None:
+def _parse_slot(
+    tokens: list[str], entry: Entry | None, keys: dict[tuple[ClassificationId, int], SlotKey]
+) -> None:
     if entry is None:
         raise ValueError("slot line before any entry line")
     if len(tokens) < 4:
@@ -420,8 +470,10 @@ def _parse_slot(tokens: list[str], entry: Entry | None, keys: dict[SlotKey, Slot
     index = _parse_signed_int(tokens[2], "condition index")
     if not 1 - len(entry.condition) <= index <= 0:
         raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
-    key = (cc, index)
-    key = keys.setdefault(key, key)
+    pair = (cc, index)
+    key = keys.get(pair)
+    if key is None:
+        key = keys[pair] = slot_key(cc, index)
     if key in entry.slots:
         raise ValueError(f"duplicate slot for classification {cc} index {index}")
     total = parse_id(_field_value(tokens[3], "total"), "total")

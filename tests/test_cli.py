@@ -12,7 +12,7 @@ import pytest
 
 import nextstep.cli
 from nextstep import write_snapshot
-from nextstep.lookupdb import ContextSlot, LookupDB
+from nextstep.lookupdb import ContextSlot, LookupDB, slot_key
 from nextstep.cli import main
 
 
@@ -106,8 +106,10 @@ TOP_USAGE = "usage: nextstep [-h] {gen,run,compare,repl,db-inspect} ...\n"
      "                        trace\n"
      "nextstep compare: error: the following arguments are required: --output-prefix\n"),
     ([], TOP_USAGE + "nextstep: error: the following arguments are required: command\n"),
+    (["--frobnicate", "run", "trace.txt"],
+     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
 ], ids=["gen-unknown-flag", "run-unknown-flag", "repl-bad-engine", "compare-no-prefix",
-        "no-command"])
+        "no-command", "top-unknown-flag"])
 def test_unknown_flag_is_a_usage_error(capsys, monkeypatch, argv, err):
     # argparse wraps usage lines to the terminal's width; COLUMNS fixes it.
     monkeypatch.setenv("COLUMNS", "80")
@@ -339,7 +341,7 @@ def test_db_inspect_empty_snapshot(capsys, tmp_path):
 def test_db_inspect_format_and_order(capsys, tmp_path):
     db = LookupDB()
     entry = db.add((1, 2, 3), 1, 0.9)
-    entry.slots[(1, 0)] = ContextSlot(10, {1: 9, 0: 1})
+    entry.slots[slot_key(1, 0)] = ContextSlot(10, {1: 9, 0: 1})
     db.add((2,), 3, 0.35)
     db.add((2,), 4, 0.75)
     path = tmp_path / "rules.db"

@@ -19,7 +19,9 @@ from nextstep.lookupdb import (
     LookupDB,
     dump_snapshot,
     parse_snapshot,
+    slot_key,
     slot_keys,
+    split_slot_key,
 )
 from nextstep.window import ObservationWindow
 from .reference import RefEngine, find_entry
@@ -55,6 +57,8 @@ def feed(engine, steps, contexts=None):
 @pytest.mark.parametrize("bad", [
     dict(alpha=0.0), dict(alpha=1.0), dict(alpha=-0.1),
     dict(theta=-0.1), dict(theta=1.0),
+    # A bool would pass the range checks as 0 or 1.
+    dict(theta=False), dict(alpha=True),
     dict(window_capacity=1), dict(window_capacity=2.5),
     dict(engine_mode="magic"),
     dict(extension_direction="sideways"),
@@ -98,8 +102,8 @@ def test_db_counting_an_undeclared_classification_is_rejected():
     db = LookupDB()
     db.add((1,), 2, 0.5)
     entry = db.add((2,), 1, 0.9)
-    entry.slots[(0, 0)] = ContextSlot(3, {4: 3})
-    entry.slots[(7, 0)] = ContextSlot(3, {4: 3})
+    entry.slots[slot_key(0, 0)] = ContextSlot(3, {4: 3})
+    entry.slots[slot_key(7, 0)] = ContextSlot(3, {4: 3})
     with pytest.raises(UnknownIdError, match="entry 1 uses classification 7, "
                        "which is not declared"):
         Engine(PredictorConfig(), (1, 2), (0, 1), db)
@@ -143,14 +147,22 @@ def test_relevance_of_no_evidence_is_one():
 def test_relevance_with_nothing_above_threshold_is_zero():
     assert relevance_mean([]) == 0.0
     # weights 0.5, 0.0 and 0.25: evidence, none of it strong
-    slots = {(0, -1): slot_of(5, 6), (1, -1): slot_of(5), (0, 0): slot_of(1, 2, 2, 2)}
+    slots = {
+        slot_key(0, -1): slot_of(5, 6),
+        slot_key(1, -1): slot_of(5),
+        slot_key(0, 0): slot_of(1, 2, 2, 2),
+    }
     assert fit_of(slots, [{0: 5, 1: 6}, {0: 1}]) == []
 
 
 def test_relevance_averages_only_weights_above_threshold():
     assert relevance_mean([0.9, 0.6]) == (0.9 + 0.6) / 2
     # weights 1.0, 0.25 and 2/3: the weak middle one is dropped
-    slots = {(0, -1): slot_of(5), (1, -1): slot_of(1, 2, 2, 2), (0, 0): slot_of(4, 4, 3)}
+    slots = {
+        slot_key(0, -1): slot_of(5),
+        slot_key(1, -1): slot_of(1, 2, 2, 2),
+        slot_key(0, 0): slot_of(4, 4, 3),
+    }
     strong = fit_of(slots, [{0: 5, 1: 1}, {0: 4}])
     assert strong == [1.0, 2 / 3]
     assert relevance_mean(strong) == (1.0 + 2 / 3) / 2
@@ -158,17 +170,17 @@ def test_relevance_averages_only_weights_above_threshold():
 
 def test_relevance_threshold_is_strict():
     # a weight equal to theta is not strong
-    assert fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.5) == []
-    assert fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.499999) == [0.5]
+    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.5) == []
+    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.499999) == [0.5]
 
 
 def test_no_evidence_scores_one_and_weak_evidence_vetoes():
     # None and [] differ: slots only where the window has no context
     # are no evidence at all, counted weak weights are a veto
-    absent = fit_of({(1, 0): slot_of(5), (0, -1): slot_of(5)}, [{}, {0: 5}])
+    absent = fit_of({slot_key(1, 0): slot_of(5), slot_key(0, -1): slot_of(5)}, [{}, {0: 5}])
     assert absent is None
     assert relevance_mean(absent) == 1.0
-    weak = fit_of({(0, 0): slot_of(5, 6)}, [{0: 5}])
+    weak = fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}])
     assert weak == []
     assert relevance_mean(weak) == 0.0
     assert fit_of({}, [{0: 5}]) is None
@@ -194,7 +206,7 @@ def test_relevance_stays_within_unit_interval(positions, theta):
     # is only exact while no fit exceeds 1; positions run oldest first,
     # each a window context record and the rule's counted contexts
     slots = {
-        (cc, pos + 1 - len(positions)): slot_of(*seen)
+        slot_key(cc, pos + 1 - len(positions)): slot_of(*seen)
         for pos, (_, counted) in enumerate(positions)
         for cc, seen in counted.items()
     }
@@ -208,8 +220,8 @@ def test_context_fit_reads_condition_positions():
     window.push(Observation(2, {0: 8, 1: 3}))
     db = LookupDB()
     entry = db.add((1, 2), 1, 0.5)
-    entry.slots[(0, -1)] = slot_of(7)
-    entry.slots[(0, 0)] = slot_of(8, 8, 9)
+    entry.slots[slot_key(0, -1)] = slot_of(7)
+    entry.slots[slot_key(0, 0)] = slot_of(8, 8, 9)
     got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5), 0.5)
     # classification 1 at index -1 is absent from the window record and
     # the (1, 0) slot was never counted, so neither contributes; index
@@ -222,7 +234,7 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     window.push(Observation(1, {0: 6}))
     db = LookupDB()
     entry = db.add((1,), 1, 0.5)
-    entry.slots[(0, 0)] = slot_of(5)
+    entry.slots[slot_key(0, 0)] = slot_of(5)
     got = context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.0)
     # one piece of evidence of weight 0, not strong even at theta 0:
     # hard veto
@@ -235,7 +247,7 @@ def test_context_fit_rejects_a_condition_longer_than_the_table():
     window.push(Observation(3, {0: 5}))
     db = LookupDB()
     entry = db.add((2, 3), 1, 0.5)
-    entry.slots[(0, 0)] = slot_of(5)
+    entry.slots[slot_key(0, 0)] = slot_of(5)
     with pytest.raises(WindowRangeError):
         context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.5)
 
@@ -274,7 +286,7 @@ def test_tie_then_prefers_higher_raw_p():
     engine = make_engine(theta=0.25)
     engine.learn(Observation(3, {0: 7}))
     strong = engine.db.add((3,), 1, 0.8)
-    strong.slots[(0, 0)] = slot_of(7, 8)
+    strong.slots[slot_key(0, 0)] = slot_of(7, 8)
     engine.db.add((3,), 2, 0.4)
     result = engine.predict()
     assert result.step == 1
@@ -295,7 +307,7 @@ def test_baseline_mode_ignores_context_weights():
         engine = make_engine(engine_mode=mode)
         engine.learn(Observation(3, window_contexts))
         vetoed = engine.db.add((3,), 1, 0.9)
-        vetoed.slots[(0, 0)] = slot_of(8)  # never saw context 7: weight 0, hard veto
+        vetoed.slots[slot_key(0, 0)] = slot_of(8)  # never saw context 7: weight 0, hard veto
         engine.db.add((3,), 2, 0.5)
         assert engine.predict().step == expected
 
@@ -321,7 +333,7 @@ def test_vetoed_top_rule_yields_to_a_lower_p_rule():
     engine = make_engine()
     engine.learn(Observation(3, {0: 7}))
     top = engine.db.add((3,), 1, 0.9)
-    top.slots[(0, 0)] = slot_of(8)  # never saw context 7: veto
+    top.slots[slot_key(0, 0)] = slot_of(8)  # never saw context 7: veto
     engine.db.add((3,), 2, 0.3)
     engine.db.add((3,), 4, 0.2)
     result = engine.predict()
@@ -336,7 +348,7 @@ def test_rule_whose_p_equals_the_leading_actual_p_is_still_scored():
     engine.learn(Observation(2))
     engine.learn(Observation(3, {0: 7}))
     leader = engine.db.add((2, 3), 1, 0.8)
-    leader.slots[(0, 0)] = slot_of(7, 8)
+    leader.slots[slot_key(0, 0)] = slot_of(7, 8)
     engine.db.add((3,), 4, 0.4)
     result = engine.predict()
     assert (result.step, result.actual_p, result.condition) == (4, 0.4, (3,))
@@ -422,8 +434,8 @@ def test_pair_rule_counts_its_creation_contexts():
     engine.learn(Observation(2, {0: 7, 1: 1}))
     engine.learn(Observation(3, {0: 7}))
     entry = find_entry(engine.db, (2,), 3)
-    assert entry.slots[(0, 0)].per_context == {7: 1}
-    assert entry.slots[(1, 0)].per_context == {1: 1}
+    assert entry.slots[slot_key(0, 0)].per_context == {7: 1}
+    assert entry.slots[slot_key(1, 0)].per_context == {1: 1}
 
 
 def test_learn_without_open_prediction_reports_none():
@@ -458,7 +470,7 @@ def test_context_updates_only_on_hits():
     assert wrong.p == ALPHA * 0.5
     assert wrong.slots == {}
     # the freshly added pair rule counted its creation event only
-    assert right.slots[(0, 0)].per_context == {5: 1}
+    assert right.slots[slot_key(0, 0)].per_context == {5: 1}
 
 
 # -- extension ----------------------------------------------------------------
@@ -665,9 +677,10 @@ def test_baseline_equals_relevance_forced_to_one(monkeypatch):
 
 
 def engine_state(engine):
+    """RefEngine.state() of the engine: slot keys as (cc, index) pairs."""
     out = []
     for entry in engine.db:
-        slots = {key: dict(sorted(slot.per_context.items()))
+        slots = {split_slot_key(key): dict(sorted(slot.per_context.items()))
                  for key, slot in sorted(entry.slots.items()) if slot.total}
         out.append((entry.condition, entry.prediction, entry.p, slots))
     return out
@@ -799,7 +812,7 @@ def test_context_fit_weights_equal_the_slot_weights(monkeypatch):
         expected = []
         for pos in range(len(entry.condition) - 1, -1, -1):
             for cc in sorted(classifications):
-                slot = entry.slots.get((cc, -pos))
+                slot = entry.slots.get(slot_key(cc, -pos))
                 if cc in table[pos] and slot is not None:
                     expected.append(slot.weight(table[pos][cc]))
         assert strong == ([w for w in expected if w > theta] if expected else None)
@@ -845,8 +858,8 @@ def test_window_length_rules_are_reinforced_decayed_and_counted(source):
     assert hit.p == ALPHA * 0.5 + Q
     assert miss.p == ALPHA * 0.5
     assert {key: slot.per_context for key, slot in hit.slots.items()} == {
-        (0, -2): {1: 1}, (0, -1): {2: 1}, (0, 0): {3: 1},
-        (1, -2): {0: 1}, (1, -1): {0: 1}, (1, 0): {0: 1},
+        slot_key(0, -2): {1: 1}, slot_key(0, -1): {2: 1}, slot_key(0, 0): {3: 1},
+        slot_key(1, -2): {0: 1}, slot_key(1, -1): {0: 1}, slot_key(1, 0): {0: 1},
     }
     run_lockstep(engine, shadow, random_events(random.Random(21), 200))
     assert sum(slot.total for slot in hit.slots.values()) > 6

@@ -17,7 +17,9 @@ from nextstep.lookupdb import (
     dump_snapshot,
     parse_snapshot,
     record_contexts,
+    slot_key,
     slot_keys,
+    split_slot_key,
 )
 from nextstep.window import ObservationWindow
 from .reference import (
@@ -81,13 +83,29 @@ def test_update_iterates_to_the_closed_forms(p0, alpha, k):
 # -- context slots ------------------------------------------------------
 
 
+_SLOT_PAIRS = st.tuples(st.integers(0, 2**40), st.integers(-10**6, 0))
+
+
+@given(_SLOT_PAIRS, _SLOT_PAIRS)
+def test_slot_keys_invert_exactly_and_sort_as_their_pairs(a, b):
+    assert split_slot_key(slot_key(*a)) == a
+    assert (slot_key(*a) < slot_key(*b)) == (a < b)
+    assert (slot_key(*a) == slot_key(*b)) == (a == b)
+
+
+def test_slot_key_holds_the_lowest_index_in_its_32_bits():
+    lowest = -(2**32 - 1)
+    assert split_slot_key(slot_key(7, lowest)) == (7, lowest)
+    assert slot_key(6, 0) < slot_key(7, lowest) < slot_key(7, 0)
+
+
 def count_contexts(*contexts):
     """The (0, 0) slot of a length-1 rule counted once per context."""
     entry = LookupDB().add((1,), 2, 0.5)
     keys = slot_keys((0,), 5)
     for ctx in contexts:
         record_contexts(entry, [{0: ctx}], keys)
-    return entry.slots[(0, 0)]
+    return entry.slots[slot_key(0, 0)]
 
 
 def test_slot_records_and_weighs():
@@ -400,10 +418,10 @@ def test_record_contexts_counts_at_condition_positions():
     window.push(Observation(3, {0: 12}))
     # condition sits one step back: slots keyed 0 and -1 read indices -1, -2
     record_contexts(entry, window.context_table()[1:], slot_keys((0, 1), 5))
-    assert entry.slots[(0, 0)].per_context == {11: 1}
-    assert entry.slots[(1, 0)].per_context == {5: 1}
-    assert entry.slots[(0, -1)].per_context == {10: 1}
-    assert (1, -1) not in entry.slots
+    assert entry.slots[slot_key(0, 0)].per_context == {11: 1}
+    assert entry.slots[slot_key(1, 0)].per_context == {5: 1}
+    assert entry.slots[slot_key(0, -1)].per_context == {10: 1}
+    assert slot_key(1, -1) not in entry.slots
 
 
 def test_record_contexts_skips_absent_classifications():

@@ -11,9 +11,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 import nextstep.lookupdb
-from nextstep import Observation, PredictorConfig, read_snapshot, run_trace, write_snapshot
-from nextstep.errors import SnapshotFormatError
-from nextstep.lookupdb import ContextSlot, LookupDB, dump_snapshot, parse_snapshot
+from nextstep import (
+    Engine,
+    Observation,
+    PredictorConfig,
+    read_snapshot,
+    run_trace,
+    write_snapshot,
+)
+from nextstep.errors import SnapshotFormatError, UnknownIdError
+from nextstep.lookupdb import (
+    ContextSlot,
+    LookupDB,
+    dump_snapshot,
+    parse_snapshot,
+    slot_key,
+)
 from nextstep.scenarios import generate_trace
 
 from . import reference
@@ -22,8 +35,8 @@ from . import reference
 def small_db():
     db = LookupDB()
     entry = db.add((1, 2, 3), 1, 0.9)
-    entry.slots[(0, 0)] = ContextSlot(2, {5: 2})
-    entry.slots[(1, -2)] = ContextSlot(1, {3: 1})
+    entry.slots[slot_key(0, 0)] = ContextSlot(2, {5: 2})
+    entry.slots[slot_key(1, -2)] = ContextSlot(1, {3: 1})
     db.add((2,), 3, 0.2)
     return db
 
@@ -44,7 +57,7 @@ def random_db(seed, entries=60):
                 continue
             seen_contexts = [rng.randint(0, 6) for _ in range(rng.randint(1, 5))]
             slot = ContextSlot(len(seen_contexts), dict(Counter(seen_contexts)))
-            entry.slots[(rng.randint(0, 1), index)] = slot
+            entry.slots[slot_key(rng.randint(0, 1), index)] = slot
     return db
 
 
@@ -75,6 +88,41 @@ def test_alpha_theta_survive_round_trip():
     text = dump_snapshot(LookupDB(), 0.95, 0.25)
     _, alpha, theta = parse_snapshot(text)
     assert (alpha, theta) == (0.95, 0.25)
+
+
+@pytest.mark.parametrize("theta", [0, 0.0, 0.25], ids=["int-0", "float-0", "0.25"])
+def test_every_accepted_theta_rereads_and_redumps_byte_identical(theta):
+    # Both are written as floats: an int 0 rereads as the 0.0 it was
+    # written as and re-dumps to the same bytes.
+    config = PredictorConfig(alpha=0.95, theta=theta)
+    text = dump_snapshot(small_db(), config.alpha, config.theta)
+    assert text.startswith(f"LOOKUPDB v1 alpha=0.95 theta={float(theta)!r}\n")
+    db, alpha, theta = parse_snapshot(text)
+    assert (alpha, theta) == (config.alpha, config.theta)
+    assert dump_snapshot(db, alpha, theta) == text
+
+
+def test_a_classification_id_past_32_bits_round_trips():
+    # The slot key keeps the classification above its low 32 bits.
+    big = 2**32 + 3
+    engine = Engine(PredictorConfig(), steps=(1, 2), classifications=(0, big))
+    trace = [(1, {big: 4}), (2, {big: 5, 0: 1}), (1, {big: 4}), (2, {big: 6}), (1, {0: 2})]
+    for step, contexts in trace:
+        engine.predict()
+        engine.learn(Observation(step, contexts))
+    pair = engine.db.entry(2)
+    assert pair.condition == (1, 2)
+    pair.slots[slot_key(big, -1)] = ContextSlot(1, {9: 1})
+    pair.slots[slot_key(0, 0)] = ContextSlot(1, {8: 1})
+    text = dump_snapshot(engine.db, 0.8, 0.5)
+    assert f"S 0 0 total=1 1:1\nS {big} 0 total=2 5:1 6:1\n" in text
+    assert text.endswith(f"pred=2 p=0.15999999999999998\nS 0 0 total=1 8:1\nS {big} -1 total=1 9:1\n")
+    loaded, alpha, theta = parse_snapshot(text)
+    assert dump_snapshot(loaded, alpha, theta) == text
+    assert [entry.slots for entry in loaded] == [entry.slots for entry in engine.db]
+    Engine(PredictorConfig(), steps=(1, 2), classifications=(0, big), db=loaded)
+    with pytest.raises(UnknownIdError, match=f"uses classification {big},"):
+        Engine(PredictorConfig(), steps=(1, 2), classifications=(0,), db=loaded)
 
 
 def test_parse_accepts_file_objects():
@@ -126,8 +174,8 @@ def test_parsed_entries_keep_ids_and_values():
     assert entry.condition == (1, 2, 3)
     assert entry.prediction == 1
     assert entry.p == 0.9
-    assert entry.slots[(0, 0)].per_context == {5: 2}
-    assert entry.slots[(0, 0)].total == 2
+    assert entry.slots[slot_key(0, 0)].per_context == {5: 2}
+    assert entry.slots[slot_key(0, 0)].total == 2
     assert db.entry(1).condition == (2,)
 
 
@@ -249,7 +297,7 @@ def test_slot_pairs_read_as_the_two_pass_reader_reads_them(good, rest):
         assert str(excinfo.value) == f"line 3: {exc}"
         return
     db, _, _ = parse_snapshot(HEADER + ENTRY + f"S 0 0 total={total} {' '.join(tokens)}\n")
-    assert db.entry(0).slots == {(0, 0): ContextSlot(total, per_context)}
+    assert db.entry(0).slots == {slot_key(0, 0): ContextSlot(total, per_context)}
 
 
 def test_bad_condition_id_is_named_with_its_line():
@@ -336,7 +384,7 @@ def test_engine_snapshots_round_trip_at_scale(observations, mode):
     assert [entry.slots for entry in loaded] == [entry.slots for entry in engine.db]
     widest = max(len(line.split()) - 4 for line in text.splitlines() if line[0] == "S")
     assert widest >= (10 if mode == "context" else 2)
-    # One key tuple per distinct (cc, index) across the whole load.
+    # One key object per distinct slot key across the whole load.
     keys = [key for entry in loaded for key in entry.slots]
     assert len({id(key) for key in keys}) == len(set(keys))
 
