@@ -242,24 +242,46 @@ def _repl_command(engine: Engine, line: str) -> Engine | None:
     return engine
 
 
+# The namespace attribute where a subcommand's parser leaves itself and
+# the arguments it did not know.
+_SUBCOMMAND_EXTRA = "_subcommand_extra"
+
+
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser: it names its own unknown arguments.
 
     argparse's subparsers hand arguments they do not know back to the
-    top parser, which would report them under the top usage.  What is
-    left for the top parser are the arguments given before the
-    subcommand, which are its own.
+    top parser, which would report them under the top usage.  This
+    parser leaves itself and those arguments in the namespace, for
+    _TopParser to report under this parser's usage.
     """
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extra = super().parse_known_args(args, namespace)
         if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
+            setattr(namespace, _SUBCOMMAND_EXTRA, (self, extra))
         return namespace, extra
 
 
+class _TopParser(argparse.ArgumentParser):
+    """The top parser: it names every unknown argument, in the order given.
+
+    When all of them follow the subcommand, that subcommand's parser
+    reports them under its usage.  When any comes before it, this
+    parser reports them all under the top usage.
+    """
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extra = self.parse_known_args(args, namespace)
+        if extra:
+            subparser, theirs = getattr(namespace, _SUBCOMMAND_EXTRA, (self, extra))
+            reporter = subparser if theirs == extra else self
+            reporter.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="nextstep",
         description="Online next-step prediction over enactment traces.",
     )

@@ -344,11 +344,24 @@ class LookupDB:
         return matches
 
 
+class _PairText(dict):
+    """``ctx:count`` text of each ``(ctx, count)`` pair, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair: tuple[ContextId, int]) -> str:
+        text = self[pair] = f"{pair[0]}:{pair[1]}"
+        return text
+
+
 def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     """Canonical snapshot text, each line ending in a newline.
 
     ``alpha`` and ``theta`` are written as floats, as parse_snapshot
-    reads them back, so an int 0 re-dumps as the same ``0.0``.
+    reads them back, so an int 0 re-dumps as the same ``0.0``.  Each
+    distinct slot head and ``ctx:count`` pair is formatted once per
+    dump: most counter pairs repeat across the rules of a grown
+    database.
     """
     lines = [
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
@@ -356,6 +369,7 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     ]
     # "S <cc> <index> total=" of each distinct slot key, decoded once.
     heads: dict[SlotKey, str] = {}
+    pair_text = _PairText().__getitem__
     for entry in db:
         cond = ",".join(str(step) for step in entry.condition)
         lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
@@ -365,9 +379,7 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
             if head is None:
                 cc, index = split_slot_key(key)
                 head = heads[key] = f"S {cc} {index} total="
-            pairs = " ".join(
-                f"{ctx}:{count}" for ctx, count in sorted(slot.per_context.items())
-            )
+            pairs = " ".join(map(pair_text, sorted(slot.per_context.items())))
             lines.append(f"{head}{slot.total} {pairs}\n")
     return "".join(lines)
 
@@ -388,6 +400,13 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     ``\\r\\n`` line ends are accepted.  Returns the database plus the
     alpha and theta it was written with.  Raises SnapshotFormatError
     with the offending 1-based line number.
+
+    Most slot lines of a grown database repeat an earlier line exactly,
+    so each distinct slot line is read once per call.  A repeat has
+    passed every check its text alone can fail; only its place under
+    the current entry is checked again, by the same helper and with the
+    same messages.  Each repeat gets its own copy of the counters, so
+    no two rules share them.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -397,7 +416,20 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     current: Entry | None = None
     # One shared int per distinct slot key, made once per (cc, index).
     keys: dict[tuple[ClassificationId, int], SlotKey] = {}
+    # Raw text of each slot line read so far -> _parse_slot's reading.
+    # Only a line that passed is here, and only once a header and an
+    # entry were read; neither is ever undone.
+    seen: dict[str, _SlotReading] = {}
     for line_no, raw in enumerate(source, start=1):
+        reading = seen.get(raw)
+        if reading is not None:
+            cc, index, key, total, per_context = reading
+            try:
+                _check_slot_place(current, cc, index, key)
+            except ValueError as exc:
+                raise SnapshotFormatError(line_no, str(exc)) from None
+            current.slots[key] = ContextSlot(total, per_context.copy())
+            continue
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
             continue
@@ -409,7 +441,7 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
                 reject_loose_numbers(raw)
             # Slot lines are most of a snapshot: test their tag first.
             if tag == "S" and alpha is not None:
-                _parse_slot(tokens, current, keys)
+                seen[raw] = _parse_slot(tokens, current, keys)
             elif alpha is None:
                 alpha, theta = _parse_header(tokens)
             elif tag == "E":
@@ -459,23 +491,37 @@ def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
     return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
 
 
+# What a slot line says, whatever entry it sits under:
+# (cc, index, slot_key(cc, index), total, per-context counts).
+_SlotReading = tuple[ClassificationId, int, SlotKey, int, dict[ContextId, int]]
+
+
+def _check_slot_place(entry: Entry, cc: ClassificationId, index: int, key: SlotKey) -> None:
+    """The checks of a slot line that depend on the entry it sits under."""
+    if not 1 - len(entry.condition) <= index <= 0:
+        raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
+    if key in entry.slots:
+        raise ValueError(f"duplicate slot for classification {cc} index {index}")
+
+
 def _parse_slot(
     tokens: list[str], entry: Entry | None, keys: dict[tuple[ClassificationId, int], SlotKey]
-) -> None:
+) -> _SlotReading:
+    """Store a slot line's counters in ``entry`` and return its reading.
+
+    The reading holds the dict the counters were stored in.
+    """
     if entry is None:
         raise ValueError("slot line before any entry line")
     if len(tokens) < 4:
         raise ValueError("slot line needs: S <cc> <index> total=<n> ctx:count...")
     cc = parse_id(tokens[1], "classification id")
     index = _parse_signed_int(tokens[2], "condition index")
-    if not 1 - len(entry.condition) <= index <= 0:
-        raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
     pair = (cc, index)
     key = keys.get(pair)
     if key is None:
         key = keys[pair] = slot_key(cc, index)
-    if key in entry.slots:
-        raise ValueError(f"duplicate slot for classification {cc} index {index}")
+    _check_slot_place(entry, cc, index, key)
     total = parse_id(_field_value(tokens[3], "total"), "total")
     if total < 1:
         raise ValueError(f"slot total {total} must be positive")
@@ -500,6 +546,7 @@ def _parse_slot(
     if summed != total:
         raise ValueError(f"context counts sum to {summed}, total says {total}")
     entry.slots[key] = ContextSlot(total, per_context)
+    return cc, index, key, total, per_context
 
 
 def _field_value(token: str, name: str) -> str:

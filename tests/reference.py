@@ -14,13 +14,34 @@ observation through the public ``Observation`` constructor.
 The snapshot slot reader's oracle is the ``ctx:count`` pair loop of
 ``lookupdb._parse_slot`` and the second walk over the tokens that named
 its error, as they stood before that error was named in one pass.
+
+The snapshot oracle is ``dump_snapshot``, ``parse_snapshot`` and
+``_parse_slot`` as they stood before the reader kept the reading of
+each slot line and the dump the text of each ``ctx:count`` pair, with
+the two field helpers the slot reader calls, copied unchanged.  It
+builds the package's own database types, packs keys with the package's
+``slot_key`` and reads header and entry lines with the package's
+``_parse_header`` and ``_parse_entry``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NoReturn, Sequence
+import io
+from typing import Iterable, NoReturn, Sequence, TextIO
 
-from nextstep.errors import TraceFormatError
+from nextstep.errors import SnapshotFormatError, TraceFormatError
+from nextstep.lookupdb import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
+    ContextSlot,
+    Entry,
+    LookupDB,
+    SlotKey,
+    _parse_entry,
+    _parse_header,
+    slot_key,
+    split_slot_key,
+)
 from nextstep.window import Observation
 
 
@@ -328,3 +349,133 @@ def _raise_pair_error(tokens: list[str]) -> NoReturn:
             raise ValueError(f"duplicate context {ctx} in slot")
         seen.add(ctx)
     raise AssertionError(f"no bad pair among {tokens!r}")
+
+
+# -- snapshot oracle --------------------------------------------------------
+
+
+def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
+    """Canonical snapshot text, each line ending in a newline.
+
+    ``alpha`` and ``theta`` are written as floats, as parse_snapshot
+    reads them back, so an int 0 re-dumps as the same ``0.0``.
+    """
+    lines = [
+        f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
+        f"alpha={float(alpha)!r} theta={float(theta)!r}\n"
+    ]
+    # "S <cc> <index> total=" of each distinct slot key, decoded once.
+    heads: dict[SlotKey, str] = {}
+    for entry in db:
+        cond = ",".join(str(step) for step in entry.condition)
+        lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
+        # Int keys sort as their (cc, index) pairs do.
+        for key, slot in sorted(entry.slots.items()):
+            head = heads.get(key)
+            if head is None:
+                cc, index = split_slot_key(key)
+                head = heads[key] = f"S {cc} {index} total="
+            pairs = " ".join(
+                f"{ctx}:{count}" for ctx, count in sorted(slot.per_context.items())
+            )
+            lines.append(f"{head}{slot.total} {pairs}\n")
+    return "".join(lines)
+
+
+def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
+    """Parse a snapshot line by line, validating every structural invariant.
+
+    Blank lines, ``#`` comment lines, any whitespace between fields and
+    ``\\r\\n`` line ends are accepted.  Returns the database plus the
+    alpha and theta it was written with.  Raises SnapshotFormatError
+    with the offending 1-based line number.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    db = LookupDB()
+    alpha: float | None = None
+    theta = 0.0
+    current: Entry | None = None
+    # One shared int per distinct slot key, made once per (cc, index).
+    keys: dict[tuple[int, int], SlotKey] = {}
+    for line_no, raw in enumerate(source, start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        tag = tokens[0]
+        try:
+            # reject_loose_numbers' test, inline: a call per line would
+            # cost more than the test.
+            if not raw.isascii() or "_" in raw or "+" in raw:
+                reject_loose_numbers(raw)
+            # Slot lines are most of a snapshot: test their tag first.
+            if tag == "S" and alpha is not None:
+                _parse_slot(tokens, current, keys)
+            elif alpha is None:
+                alpha, theta = _parse_header(tokens)
+            elif tag == "E":
+                current = _parse_entry(tokens, db)
+            else:
+                raise ValueError(f"unknown line tag {tag!r}")
+        except ValueError as exc:
+            raise SnapshotFormatError(line_no, str(exc)) from None
+    if alpha is None:
+        raise SnapshotFormatError(1, "missing snapshot header")
+    return db, alpha, theta
+
+
+def _parse_slot(
+    tokens: list[str], entry: Entry | None, keys: dict[tuple[int, int], SlotKey]
+) -> None:
+    if entry is None:
+        raise ValueError("slot line before any entry line")
+    if len(tokens) < 4:
+        raise ValueError("slot line needs: S <cc> <index> total=<n> ctx:count...")
+    cc = parse_id(tokens[1], "classification id")
+    index = _parse_signed_int(tokens[2], "condition index")
+    if not 1 - len(entry.condition) <= index <= 0:
+        raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
+    pair = (cc, index)
+    key = keys.get(pair)
+    if key is None:
+        key = keys[pair] = slot_key(cc, index)
+    if key in entry.slots:
+        raise ValueError(f"duplicate slot for classification {cc} index {index}")
+    total = parse_id(_field_value(tokens[3], "total"), "total")
+    if total < 1:
+        raise ValueError(f"slot total {total} must be positive")
+    per_context: dict[int, int] = {}
+    summed = 0
+    try:
+        for token in tokens[4:]:
+            ctx_text, _, count_text = token.partition(":")
+            ctx = int(ctx_text)
+            count = int(count_text)
+            if ctx < 0 or count < 1 or ctx in per_context:
+                raise ValueError
+            per_context[ctx] = count
+            summed += count
+    except ValueError:
+        # The loop stopped at the first bad pair; name what is wrong with it.
+        ctx = parse_id(ctx_text, "context id")
+        count = parse_id(count_text, "context count")
+        if count < 1:
+            raise ValueError(f"context count {count} must be positive")
+        raise ValueError(f"duplicate context {ctx} in slot")
+    if summed != total:
+        raise ValueError(f"context counts sum to {summed}, total says {total}")
+    entry.slots[key] = ContextSlot(total, per_context)
+
+
+def _field_value(token: str, name: str) -> str:
+    key, _, value = token.partition("=")
+    if key != name or not value:
+        raise ValueError(f"expected {name}=<value>, got {token!r}")
+    return value
+
+
+def _parse_signed_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None

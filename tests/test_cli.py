@@ -108,8 +108,10 @@ TOP_USAGE = "usage: nextstep [-h] {gen,run,compare,repl,db-inspect} ...\n"
     ([], TOP_USAGE + "nextstep: error: the following arguments are required: command\n"),
     (["--frobnicate", "run", "trace.txt"],
      TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate\n"),
+    (["--frobnicate", "run", "trace.txt", "--bad"],
+     TOP_USAGE + "nextstep: error: unrecognized arguments: --frobnicate --bad\n"),
 ], ids=["gen-unknown-flag", "run-unknown-flag", "repl-bad-engine", "compare-no-prefix",
-        "no-command", "top-unknown-flag"])
+        "no-command", "top-unknown-flag", "unknown-flags-on-both-sides"])
 def test_unknown_flag_is_a_usage_error(capsys, monkeypatch, argv, err):
     # argparse wraps usage lines to the terminal's width; COLUMNS fixes it.
     monkeypatch.setenv("COLUMNS", "80")

@@ -186,21 +186,37 @@ def test_no_evidence_scores_one_and_weak_evidence_vetoes():
     assert fit_of({}, [{0: 5}]) is None
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.dictionaries(st.integers(0, 1), st.integers(0, 3), max_size=2),
-            st.dictionaries(
-                st.integers(0, 1),
-                st.lists(st.integers(0, 3), min_size=1, max_size=6),
-                max_size=2,
+_SEEN = st.lists(st.integers(0, 3), min_size=1, max_size=6)
+
+
+@st.composite
+def positions_with_evidence(draw):
+    """Oldest-first (window context record, counted contexts) pairs.
+
+    One cell is forced where the window's context meets a counted slot,
+    so that every example is evidence and none scores None.
+    """
+    positions = draw(
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.integers(0, 1), st.integers(0, 3), max_size=2),
+                st.dictionaries(st.integers(0, 1), _SEEN, max_size=2),
             ),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
+            min_size=1,
+            max_size=4,
+        )
+    )
+    pos = draw(st.integers(0, len(positions) - 1))
+    cc = draw(st.integers(0, 1))
+    record, counted = positions[pos]
+    positions[pos] = (
+        {**record, cc: draw(st.integers(0, 3))},
+        {**counted, cc: draw(_SEEN)},
+    )
+    return positions
+
+
+@given(positions_with_evidence(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_relevance_stays_within_unit_interval(positions, theta):
     # predict() stops scoring once p drops below the best fit * p, which
     # is only exact while no fit exceeds 1; positions run oldest first,
@@ -211,6 +227,7 @@ def test_relevance_stays_within_unit_interval(positions, theta):
         for cc, seen in counted.items()
     }
     strong = fit_of(slots, [record for record, _ in positions], theta)
+    assert strong is not None
     assert 0.0 <= relevance_mean(strong) <= 1.0
 
 

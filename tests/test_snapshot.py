@@ -25,7 +25,9 @@ from nextstep.lookupdb import (
     LookupDB,
     dump_snapshot,
     parse_snapshot,
+    record_contexts,
     slot_key,
+    slot_keys,
 )
 from nextstep.scenarios import generate_trace
 
@@ -402,3 +404,128 @@ def test_an_undecodable_byte_names_its_line(tmp_path):
     assert str(excinfo.value) == (
         f"line {len(lines) - 39}: byte 0xff is not UTF-8 (invalid start byte)"
     )
+
+
+# -- repeated slot lines ----------------------------------------------------
+
+# Entries 0 and 1 are read from the same slot line.
+TWINS = (
+    HEADER
+    + "E 0 cond=1 pred=2 p=0.5\nS 0 0 total=2 5:1 6:1\n"
+    + "E 1 cond=2 pred=1 p=0.5\nS 0 0 total=2 5:1 6:1\n"
+)
+
+
+def test_repeated_slot_lines_get_their_own_counters():
+    db, _, _ = parse_snapshot(TWINS)
+    first, second = (entry.slots[slot_key(0, 0)] for entry in db)
+    assert first == second == ContextSlot(2, {5: 1, 6: 1})
+    assert first.per_context is not second.per_context
+    record_contexts(db.entry(1), [{0: 6}], slot_keys((0,), 1))
+    assert (first, second) == (ContextSlot(2, {5: 1, 6: 1}), ContextSlot(3, {5: 1, 6: 2}))
+
+
+def test_a_loaded_engine_counts_into_one_of_two_repeated_slots():
+    db, _, _ = parse_snapshot(TWINS)
+    engine = Engine(PredictorConfig(), steps=(1, 2), classifications=(0,), db=db)
+    # 1 then 2 is a hit for entry 0 (cond=1 pred=2), which counts context 5.
+    engine.learn(Observation(1, {0: 5}))
+    engine.learn(Observation(2, {0: 7}))
+    assert db.entry(0).slots[slot_key(0, 0)] == ContextSlot(3, {5: 2, 6: 1})
+    assert db.entry(1).slots[slot_key(0, 0)] == ContextSlot(2, {5: 1, 6: 1})
+
+
+# (lines, line number, message): a repeat of an earlier slot line that
+# does not fit where it now sits.
+MISPLACED_REPEATS = [
+    (["E 0 cond=1,2 pred=3 p=0.5", "S 0 -1 total=1 5:1",
+      "E 1 cond=1 pred=3 p=0.5", "S 0 -1 total=1 5:1"],
+     5, "condition index -1 outside [0, 0]"),
+    (["E 0 cond=1 pred=2 p=0.5", "S 0 0 total=1 5:1", "S 0 0 total=1 5:1"],
+     4, "duplicate slot for classification 0 index 0"),
+]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("kind", ["str", "stringio", "path"])
+@pytest.mark.parametrize(
+    "lines,line_no,message", MISPLACED_REPEATS, ids=["shorter-entry", "same-entry"]
+)
+def test_a_misplaced_repeated_slot_line_names_its_own_line(
+    lines, line_no, message, kind, end, tmp_path
+):
+    text = end.join([HEADER.rstrip("\n"), *lines, ""])
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        parse_from(kind, text, tmp_path)
+    assert str(excinfo.value) == f"line {line_no}: {message}"
+    assert excinfo.value.line_no == line_no
+
+
+# Slot lines drawn from a small pool, so that most repeat an earlier one.
+_SLOT_LINE = st.tuples(
+    st.integers(0, 1),
+    st.integers(-2, 0),
+    st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def repeating_dbs(draw):
+    pool = draw(st.lists(_SLOT_LINE, min_size=1, max_size=4))
+    db = LookupDB()
+    for _ in range(draw(st.integers(0, 8))):
+        condition = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        try:
+            entry = db.add(condition, draw(st.integers(1, 3)), draw(st.floats(0.0, 1.0)))
+        except ValueError:  # a (condition, prediction) pair drawn twice
+            continue
+        for cc, index, counts in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            if index > -len(condition):
+                slot = ContextSlot(sum(counts.values()), dict(counts))
+                entry.slots.setdefault(slot_key(cc, index), slot)
+    return db
+
+
+def db_state(db):
+    """Every entry's fields and slots, slots in their stored order."""
+    return [
+        (entry.entry_id, entry.condition, entry.prediction, entry.p, list(entry.slots.items()))
+        for entry in db
+    ]
+
+
+def read_outcome(parse, text):
+    """What ``parse`` makes of ``text``: its state, or its error's line and message."""
+    try:
+        db, alpha, theta = parse(text)
+    except SnapshotFormatError as exc:
+        return exc.line_no, str(exc)
+    return alpha, theta, db_state(db)
+
+
+@given(repeating_dbs(), st.sampled_from(["\n", "\r\n"]))
+def test_dump_and_read_agree_with_the_uncached_ones(db, end):
+    text = dump_snapshot(db, 0.8, 0.25)
+    assert text == reference.dump_snapshot(db, 0.8, 0.25)
+    text = text.replace("\n", end)
+    loaded, alpha, theta = parse_snapshot(text)
+    assert read_outcome(parse_snapshot, text) == read_outcome(reference.parse_snapshot, text)
+    assert [entry.slots for entry in loaded] == [entry.slots for entry in db]
+    counters = [slot.per_context for entry in loaded for slot in entry.slots.values()]
+    assert len({id(counts) for counts in counters}) == len(counters)
+
+
+@given(repeating_dbs(), st.data())
+def test_a_mutated_snapshot_reads_as_the_uncached_reader_reads_it(db, data):
+    lines = dump_snapshot(db, 0.8, 0.25).splitlines(keepends=True)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    how = data.draw(st.sampled_from(["copy", "insert", "char"]))
+    if how == "char":
+        line = lines[at]
+        pos = data.draw(st.integers(0, len(line) - 1))
+        lines[at] = line[:pos] + data.draw(st.sampled_from(" 0123-:=xSE\t")) + line[pos + 1:]
+    else:
+        other = data.draw(st.sampled_from(lines))
+        lines[at:at + (how == "copy")] = [other]
+    text = "".join(lines)
+    assert read_outcome(parse_snapshot, text) == read_outcome(reference.parse_snapshot, text)
