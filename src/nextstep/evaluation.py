@@ -76,9 +76,21 @@ def format_record(observation: Observation) -> str:
 
 
 def parse_trace(lines: Iterable[str]) -> list[Observation]:
-    """Parse trace lines; errors carry the 1-based line number."""
+    """Parse trace lines; errors carry the 1-based line number.
+
+    Recorded traces repeat a few distinct lines many times, so each
+    accepted line's raw text, line end included, maps to the first
+    observation read from it.  A repeat copies that observation's
+    contexts instead of checking and splitting the text again.  Only
+    accepted lines are kept: a bad line is read, and rejected, anew.
+    """
     observations = []
+    seen: dict[str, Observation] = {}
     for line_no, raw in enumerate(lines, start=1):
+        first = seen.get(raw)
+        if first is not None:
+            observations.append(_owning_observation(first.step, first.contexts.copy()))
+            continue
         # Skip blank and comment lines.  A data line starts with its step
         # id, so only a line that starts with whitespace is stripped here.
         head = raw[:1]
@@ -89,9 +101,11 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
             if not line or line[0] == "#":
                 continue
         try:
-            observations.append(parse_record(raw))
+            observation = parse_record(raw)
         except ValueError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
+        seen[raw] = observation
+        observations.append(observation)
     return observations
 
 

@@ -6,7 +6,7 @@ import dataclasses
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import nextstep.evaluation
 from nextstep import (
@@ -111,10 +111,14 @@ def test_parse_trace_reports_the_offending_line():
 
 
 def test_read_records_own_their_contexts():
-    trace = parse_trace(["1 0=2\n", "1 0=2\n", "3\n", "3"])
-    first, second, bare, last = trace
-    assert first == second
-    assert first.contexts is not second.contexts
+    # A repeated line is read once; each repeat still owns its contexts.
+    trace = parse_trace(["1 0=2\n", "1 0=2\n", "1 0=2\n", "3\n", "3"])
+    repeats, (bare, last) = trace[:3], trace[3:]
+    assert all(o == Observation(1, {0: 2}) for o in repeats)
+    for changed in repeats:
+        changed.contexts[1] = 7
+        assert [o.contexts for o in repeats if o is not changed] == [{0: 2}, {0: 2}]
+        del changed.contexts[1]
     assert bare.contexts == {} and last.contexts == {}
     assert bare.contexts is not last.contexts
     for observation in trace + [parse_record("4 1=0")]:
@@ -198,6 +202,46 @@ def test_reader_agrees_with_the_reference_reader(lines):
     else:
         with pytest.raises(ValueError, match="^trace is empty$"):
             derive_universes(observations)
+
+
+# Traces drawn from a pool of at most four lines, so that most lines
+# repeat an earlier one.  Pool lines often share one valid record and
+# differ only in the whitespace around it, non-ASCII included, or in
+# their line end, which the reader's table of accepted lines must tell
+# apart.  The others are any line, blank, comment or bad.
+_AROUND = st.sampled_from(["", " ", "\t", "\u3000", "\xa0"])
+_END = st.sampled_from(["", "\n", "\r\n"])
+_RECORD = st.builds(
+    Observation,
+    st.integers(min_value=0, max_value=3),
+    st.dictionaries(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=3), max_size=2),
+).map(format_record)
+
+
+def _pool_line(record):
+    return st.one_of(st.builds("{}{}{}{}".format, _AROUND, st.just(record), _AROUND, _END), _LINE)
+
+
+_POOL_TRACE = (
+    _RECORD.flatmap(lambda record: st.lists(_pool_line(record), min_size=2, max_size=4))
+    .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+)
+
+
+@given(_POOL_TRACE)
+# A repeat must own its dict, a skipped line must not stand for a record,
+# and a line with non-ASCII whitespace around an accepted record is bad.
+@example(["3", "3"])
+@example(["1\n", "# x\n", "# x\n"])
+@example(["1 0=2\n", "1 0=2\u3000"])
+def test_repeated_lines_read_as_the_reference_reader_reads_them(lines):
+    observations, error = _read(parse_trace, lines)
+    expected, expected_error = _read(reference.parse_trace, lines)
+    assert error == expected_error
+    if error is not None:
+        return
+    assert observations == expected
+    assert len({id(o.contexts) for o in observations}) == len(observations)
 
 
 def test_trace_file_round_trip(tmp_path):
