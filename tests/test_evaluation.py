@@ -188,8 +188,7 @@ def _read(parse, lines):
         return None, (exc.line_no, str(exc))
 
 
-@given(st.lists(_LINE, max_size=8))
-def test_reader_agrees_with_the_reference_reader(lines):
+def _agrees_with_the_reference_reader(lines):
     observations, error = _read(parse_trace, lines)
     expected, expected_error = _read(reference.parse_trace, lines)
     assert error == expected_error
@@ -197,11 +196,17 @@ def test_reader_agrees_with_the_reference_reader(lines):
         return
     assert observations == expected
     assert [type(o) for o in observations] == [Observation] * len(expected)
+    assert len({id(o.contexts) for o in observations}) == len(observations)
     if expected:
         assert derive_universes(observations) == reference.derive_universes(expected)
     else:
         with pytest.raises(ValueError, match="^trace is empty$"):
             derive_universes(observations)
+
+
+@given(st.lists(_LINE, max_size=8))
+def test_reader_agrees_with_the_reference_reader(lines):
+    _agrees_with_the_reference_reader(lines)
 
 
 # Traces drawn from a pool of at most four lines, so that most lines
@@ -214,7 +219,9 @@ _END = st.sampled_from(["", "\n", "\r\n"])
 _RECORD = st.builds(
     Observation,
     st.integers(min_value=0, max_value=3),
-    st.dictionaries(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=3), max_size=2),
+    st.dictionaries(
+        st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=3), max_size=2
+    ),
 ).map(format_record)
 
 
@@ -235,13 +242,7 @@ _POOL_TRACE = (
 @example(["1\n", "# x\n", "# x\n"])
 @example(["1 0=2\n", "1 0=2\u3000"])
 def test_repeated_lines_read_as_the_reference_reader_reads_them(lines):
-    observations, error = _read(parse_trace, lines)
-    expected, expected_error = _read(reference.parse_trace, lines)
-    assert error == expected_error
-    if error is not None:
-        return
-    assert observations == expected
-    assert len({id(o.contexts) for o in observations}) == len(observations)
+    _agrees_with_the_reference_reader(lines)
 
 
 def test_trace_file_round_trip(tmp_path):
