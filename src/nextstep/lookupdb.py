@@ -268,10 +268,12 @@ class LookupDB:
     def add(self, condition: tuple[StepId, ...], prediction: StepId, p: float) -> Entry:
         """Store a new rule; (condition, prediction) must be unused.
 
-        Every id and ``p`` is checked here, as rules from outside the
-        engine (the caller, a snapshot) enter through this method.  The
-        rule is then stored by add_on_path, walking from the root.  A
-        rejected rule leaves the database as it was.
+        Every id and ``p`` is checked here, as rules from a caller
+        enter through this method; the rule is then stored by
+        add_on_path, walking from the root.  A rejected rule leaves the
+        database as it was.  A snapshot's rules do not come through
+        here: parse_snapshot checks each of them once, with the ids of
+        each distinct condition checked once per call.
         """
         condition = tuple(condition)
         if not condition:
@@ -295,9 +297,10 @@ class LookupDB:
         Where it stops short, the missing nodes are found or made from
         the condition's own steps and appended to ``path``.  The caller
         vouches for the ids: the engine builds its rules from steps that
-        ObservationWindow.push checked, and add() checks everything
-        else.  A taken (condition, prediction) pair raises ValueError
-        and leaves the database as it was.
+        ObservationWindow.push checked, parse_snapshot checks a
+        snapshot's, and add() checks everything else.  A taken
+        (condition, prediction) pair raises ValueError and leaves the
+        database as it was.
         """
         length = len(condition)
         depth = len(path)
@@ -354,14 +357,24 @@ class _PairText(dict):
         return text
 
 
+class _ConditionText(dict):
+    """Comma-separated text of each condition, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, condition: tuple[StepId, ...]) -> str:
+        text = self[condition] = ",".join(map(str, condition))
+        return text
+
+
 def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     """Canonical snapshot text, each line ending in a newline.
 
     ``alpha`` and ``theta`` are written as floats, as parse_snapshot
     reads them back, so an int 0 re-dumps as the same ``0.0``.  Each
-    distinct slot head and ``ctx:count`` pair is formatted once per
-    dump: most counter pairs repeat across the rules of a grown
-    database.
+    distinct condition, slot head and ``ctx:count`` pair is formatted
+    once per dump: most conditions and counter pairs repeat across the
+    rules of a grown database.
     """
     lines = [
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
@@ -369,9 +382,10 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     ]
     # "S <cc> <index> total=" of each distinct slot key, decoded once.
     heads: dict[SlotKey, str] = {}
+    cond_text = _ConditionText()
     pair_text = _PairText().__getitem__
     for entry in db:
-        cond = ",".join(str(step) for step in entry.condition)
+        cond = cond_text[entry.condition]
         lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
         # Int keys sort as their (cc, index) pairs do.
         for key, slot in sorted(entry.slots.items()):
@@ -401,12 +415,22 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     alpha and theta it was written with.  Raises SnapshotFormatError
     with the offending 1-based line number.
 
-    Most slot lines of a grown database repeat an earlier line exactly,
-    so each distinct slot line is read once per call.  A repeat has
-    passed every check its text alone can fail; only its place under
-    the current entry is checked again, by the same helper and with the
-    same messages.  Each repeat gets its own copy of the counters, so
-    no two rules share them.
+    A grown database repeats itself, so each piece of work that depends
+    on the text alone is done once per call, and only what depends on a
+    line's place under the current entry is done per line, by the same
+    helpers and with the same messages:
+
+    - each distinct slot line is read once; a repeat has its place
+      under the current entry checked again;
+    - each distinct counter list, the text from ``total=`` to the end
+      of a slot line, is read once; a new slot line that repeats one
+      has only its head read and its place checked;
+    - each distinct ``cond=`` token is read, checked and walked down
+      the trie once; a rule over it is stored on the trie path found
+      then, after its own prediction, ``p`` and taken-pair checks.
+
+    Each slot gets its own copy of its counters, so no two rules share
+    them.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -418,8 +442,13 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     keys: dict[tuple[ClassificationId, int], SlotKey] = {}
     # Raw text of each slot line read so far -> _parse_slot's reading.
     # Only a line that passed is here, and only once a header and an
-    # entry were read; neither is ever undone.
+    # entry were read; neither is ever undone.  The two tables below
+    # likewise hold only text that passed.
     seen: dict[str, _SlotReading] = {}
+    # Counter list text -> the slot first read from it.
+    counters: dict[str, ContextSlot] = {}
+    # cond= token -> (its condition, the trie path of that condition).
+    conditions: dict[str, tuple[tuple[StepId, ...], list[_Node]]] = {}
     for line_no, raw in enumerate(source, start=1):
         reading = seen.get(raw)
         if reading is not None:
@@ -430,10 +459,12 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
                 raise SnapshotFormatError(line_no, str(exc)) from None
             current.slots[key] = ContextSlot(total, per_context.copy())
             continue
-        tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
+        # Tag, two head fields and the rest: a slot line's counter list
+        # is split into its tokens only when it is new.
+        fields = raw.split(None, 3)
+        if not fields or fields[0][0] == "#":
             continue
-        tag = tokens[0]
+        tag = fields[0]
         try:
             # reject_loose_numbers' test, inline: a call per line would
             # cost more than the test.
@@ -441,11 +472,11 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
                 reject_loose_numbers(raw)
             # Slot lines are most of a snapshot: test their tag first.
             if tag == "S" and alpha is not None:
-                seen[raw] = _parse_slot(tokens, current, keys)
+                seen[raw] = _parse_slot(fields, current, keys, counters)
             elif alpha is None:
-                alpha, theta = _parse_header(tokens)
+                alpha, theta = _parse_header(raw.split())
             elif tag == "E":
-                current = _parse_entry(tokens, db)
+                current = _parse_entry(raw.split(), db, conditions)
             else:
                 raise ValueError(f"unknown line tag {tag!r}")
         except ValueError as exc:
@@ -475,20 +506,46 @@ def _parse_header(tokens: list[str]) -> tuple[float, float]:
     return alpha, theta
 
 
-def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
+def _parse_entry(
+    tokens: list[str],
+    db: LookupDB,
+    conditions: dict[str, tuple[tuple[StepId, ...], list[_Node]]],
+) -> Entry:
+    """Store an entry line's rule in ``db`` and return it.
+
+    The checks and their order are LookupDB.add's, after the fields are
+    parsed.  A ``cond=`` token in ``conditions`` passed them before: it
+    is not parsed or checked again, and its rule goes straight to the
+    trie path kept for it.  A new token is added there once its rule
+    is stored.
+    """
     if len(tokens) != 5:
         raise ValueError("entry line needs: E <id> cond=... pred=... p=...")
     entry_id = parse_id(tokens[1], "entry id")
     if entry_id != len(db):
         raise ValueError(f"entry id {entry_id} out of order, expected {len(db)}")
-    cond_text = _field_value(tokens[2], "cond")
-    try:
-        condition = tuple(map(int, cond_text.split(",")))
-    except ValueError:
-        raise ValueError(f"bad condition {cond_text!r}") from None
+    known = conditions.get(tokens[2])
+    if known is None:
+        cond_text = _field_value(tokens[2], "cond")
+        try:
+            condition = tuple(map(int, cond_text.split(",")))
+        except ValueError:
+            raise ValueError(f"bad condition {cond_text!r}") from None
+    else:
+        condition, path = known
     prediction = parse_id(_field_value(tokens[3], "pred"), "prediction")
-    # db.add rejects a negative step, a p outside [0, 1] and a repeated pair.
-    return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
+    p = _parse_float_field(tokens[4], "p")
+    if known is None:
+        for step in condition:
+            _require_id("step", step)
+        path = []
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p!r} outside [0, 1]")
+    # A taken pair raises here; a new token's path is then not kept.
+    entry = db.add_on_path(path, condition, prediction, p)
+    if known is None:
+        conditions[tokens[2]] = condition, path
+    return entry
 
 
 # What a slot line says, whatever entry it sits under:
@@ -505,30 +562,49 @@ def _check_slot_place(entry: Entry, cc: ClassificationId, index: int, key: SlotK
 
 
 def _parse_slot(
-    tokens: list[str], entry: Entry | None, keys: dict[tuple[ClassificationId, int], SlotKey]
+    fields: list[str],
+    entry: Entry | None,
+    keys: dict[tuple[ClassificationId, int], SlotKey],
+    counters: dict[str, ContextSlot],
 ) -> _SlotReading:
     """Store a slot line's counters in ``entry`` and return its reading.
 
-    The reading holds the dict the counters were stored in.
+    ``fields`` is the line split at its first three runs of whitespace,
+    so ``fields[3]`` is its counter list.  A counter list in
+    ``counters`` passed every check before and is not read again; the
+    entry gets its own copy of its counts.  A new one that passes is
+    added there with the slot read from it, which the entry keeps.  The
+    reading holds the dict the counters were stored in.
     """
     if entry is None:
         raise ValueError("slot line before any entry line")
-    if len(tokens) < 4:
+    if len(fields) < 4:
         raise ValueError("slot line needs: S <cc> <index> total=<n> ctx:count...")
-    cc = parse_id(tokens[1], "classification id")
-    index = _parse_signed_int(tokens[2], "condition index")
+    cc = parse_id(fields[1], "classification id")
+    index = _parse_signed_int(fields[2], "condition index")
     pair = (cc, index)
     key = keys.get(pair)
     if key is None:
         key = keys[pair] = slot_key(cc, index)
     _check_slot_place(entry, cc, index, key)
-    total = parse_id(_field_value(tokens[3], "total"), "total")
+    known = counters.get(fields[3])
+    if known is None:
+        slot = counters[fields[3]] = _parse_counters(fields[3].split())
+    else:
+        slot = ContextSlot(known.total, known.per_context.copy())
+    entry.slots[key] = slot
+    return cc, index, key, slot.total, slot.per_context
+
+
+def _parse_counters(tokens: list[str]) -> ContextSlot:
+    """A counter list's slot: its total and counts, checked against each other."""
+    total = parse_id(_field_value(tokens[0], "total"), "total")
     if total < 1:
         raise ValueError(f"slot total {total} must be positive")
     per_context: dict[int, int] = {}
     summed = 0
     try:
-        for token in tokens[4:]:
+        for token in tokens[1:]:
             ctx_text, _, count_text = token.partition(":")
             ctx = int(ctx_text)
             count = int(count_text)
@@ -545,8 +621,7 @@ def _parse_slot(
         raise ValueError(f"duplicate context {ctx} in slot")
     if summed != total:
         raise ValueError(f"context counts sum to {summed}, total says {total}")
-    entry.slots[key] = ContextSlot(total, per_context)
-    return cc, index, key, total, per_context
+    return ContextSlot(total, per_context)
 
 
 def _field_value(token: str, name: str) -> str:

@@ -17,11 +17,14 @@ its error, as they stood before that error was named in one pass.
 
 The snapshot oracle is ``dump_snapshot``, ``parse_snapshot`` and
 ``_parse_slot`` as they stood before the reader kept the reading of
-each slot line and the dump the text of each ``ctx:count`` pair, with
-the two field helpers the slot reader calls, copied unchanged.  It
-builds the package's own database types, packs keys with the package's
-``slot_key`` and reads header and entry lines with the package's
-``_parse_header`` and ``_parse_entry``.
+each slot line and the dump the text of each ``ctx:count`` pair, and
+``_parse_entry`` as it stood before the reader kept the reading of each
+counter list and ``cond=`` token, with the three field helpers they
+call, copied unchanged.  It builds the package's own database types,
+stores every rule through the package's ``LookupDB.add``, which checks
+it from scratch and walks the trie from the root, packs keys with the
+package's ``slot_key`` and reads header lines with the package's
+``_parse_header``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from nextstep.lookupdb import (
     Entry,
     LookupDB,
     SlotKey,
-    _parse_entry,
     _parse_header,
     slot_key,
     split_slot_key,
@@ -424,6 +426,22 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     return db, alpha, theta
 
 
+def _parse_entry(tokens: list[str], db: LookupDB) -> Entry:
+    if len(tokens) != 5:
+        raise ValueError("entry line needs: E <id> cond=... pred=... p=...")
+    entry_id = parse_id(tokens[1], "entry id")
+    if entry_id != len(db):
+        raise ValueError(f"entry id {entry_id} out of order, expected {len(db)}")
+    cond_text = _field_value(tokens[2], "cond")
+    try:
+        condition = tuple(map(int, cond_text.split(",")))
+    except ValueError:
+        raise ValueError(f"bad condition {cond_text!r}") from None
+    prediction = parse_id(_field_value(tokens[3], "pred"), "prediction")
+    # db.add rejects a negative step, a p outside [0, 1] and a repeated pair.
+    return db.add(condition, prediction, _parse_float_field(tokens[4], "p"))
+
+
 def _parse_slot(
     tokens: list[str], entry: Entry | None, keys: dict[tuple[int, int], SlotKey]
 ) -> None:
@@ -479,3 +497,11 @@ def _parse_signed_int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"bad {what} {text!r}") from None
+
+
+def _parse_float_field(token: str, name: str) -> float:
+    text = _field_value(token, name)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad {name} {text!r}") from None

@@ -30,6 +30,7 @@ from nextstep.lookupdb import (
     slot_keys,
 )
 from nextstep.scenarios import generate_trace
+from nextstep.window import ObservationWindow
 
 from . import reference
 
@@ -435,6 +436,69 @@ def test_a_loaded_engine_counts_into_one_of_two_repeated_slots():
     assert db.entry(1).slots[slot_key(0, 0)] == ContextSlot(2, {5: 1, 6: 1})
 
 
+# One counter list under three heads: twice under entry 0, once under
+# entry 1, and never on a line that repeats an earlier one.
+SHARED_COUNTERS = (
+    HEADER
+    + "E 0 cond=1,2 pred=3 p=0.5\nS 0 0 total=2 5:1 6:1\nS 1 -1 total=2 5:1 6:1\n"
+    + "E 1 cond=2 pred=1 p=0.5\nS 1 0 total=2 5:1 6:1\n"
+)
+
+
+def test_a_repeated_counter_list_loads_into_its_own_dict():
+    db, _, _ = parse_snapshot(SHARED_COUNTERS)
+    slots = [db.entry(0).slots[slot_key(0, 0)], db.entry(0).slots[slot_key(1, -1)],
+             db.entry(1).slots[slot_key(1, 0)]]
+    assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 3
+    assert len({id(slot.per_context) for slot in slots}) == 3
+    record_contexts(db.entry(1), [{1: 6}], slot_keys((1,), 1))
+    assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
+
+
+# An entry line after one whose cond= token it repeats: (line, message).
+REPEATED_CONDITIONS = [
+    ("E 1 cond=1,2 pred=3 p=0.5", "entry with condition (1, 2) predicting 3 already exists"),
+    ("E 1 cond=01,2 pred=3 p=0.5", "entry with condition (1, 2) predicting 3 already exists"),
+    ("E 1 cond=1,2 pred=x p=0.5", "bad prediction 'x'"),
+    ("E 1 cond=1,2 pred=-4 p=0.5", "prediction -4 must not be negative"),
+    ("E 1 cond=1,2 q=4 p=0.5", "expected pred=<value>, got 'q=4'"),
+    ("E 1 cond=1,2 pred=4 p=x", "bad p 'x'"),
+    ("E 1 cond=1,2 pred=4 q=0.5", "expected p=<value>, got 'q=0.5'"),
+    ("E 1 cond=1,2 pred=4 p=1.5", "probability 1.5 outside [0, 1]"),
+    ("E 1 cond=1,2 pred=4 p=nan", "probability nan outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    REPEATED_CONDITIONS,
+    ids=["taken", "taken-other-spelling", "bad-pred", "negative-pred", "no-pred",
+         "bad-p", "no-p", "p-above-1", "p-nan"],
+)
+def test_a_repeated_condition_is_still_checked_with_its_rule(line, message):
+    text = HEADER + "E 0 cond=1,2 pred=3 p=0.5\nS 0 -1 total=1 5:1\n" + line + "\n"
+    with pytest.raises(SnapshotFormatError) as excinfo:
+        parse_snapshot(text)
+    assert str(excinfo.value) == f"line 4: {message}"
+    assert excinfo.value.line_no == 4
+    assert read_outcome(parse_snapshot, text) == read_outcome(reference.parse_snapshot, text)
+
+
+def test_rules_over_a_repeated_condition_land_on_its_trie_node():
+    text = (HEADER + "E 0 cond=1,2 pred=3 p=0.5\nE 1 cond=2 pred=3 p=0.5\n"
+            + "E 2 cond=1,2 pred=4 p=0.25\nE 3 cond=01,2 pred=1 p=0.5\n")
+    db, _, _ = parse_snapshot(text)
+    assert [(entry.condition, entry.prediction, entry.p) for entry in db] == [
+        ((1, 2), 3, 0.5), ((2,), 3, 0.5), ((1, 2), 4, 0.25), ((1, 2), 1, 0.5)
+    ]
+    window = ObservationWindow(3, (1, 2))
+    for step in (1, 2):
+        window.push(Observation(step, {}))
+    matches = db.matching_entries(window)
+    assert [entry.entry_id for entry in matches] == [0, 1, 2, 3]
+    assert matches.path[1].rules == {3: db.entry(0), 4: db.entry(2), 1: db.entry(3)}
+
+
 # (lines, line number, message): a repeat of an earlier slot line that
 # does not fit where it now sits.
 MISPLACED_REPEATS = [
@@ -461,28 +525,34 @@ def test_a_misplaced_repeated_slot_line_names_its_own_line(
     assert excinfo.value.line_no == line_no
 
 
-# Slot lines drawn from a small pool, so that most repeat an earlier one.
-_SLOT_LINE = st.tuples(
-    st.integers(0, 1),
-    st.integers(-2, 0),
-    st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=4),
-)
+# Counter lists and conditions drawn from small pools, so that most slot
+# lines, counter lists and conditions repeat an earlier one.
+_COUNTER_LIST = st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=4)
+_CONDITION = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
 
 @st.composite
 def repeating_dbs(draw):
-    pool = draw(st.lists(_SLOT_LINE, min_size=1, max_size=4))
+    """Databases whose rules repeat conditions and whose slots repeat text.
+
+    A condition comes back under another prediction, and a counter list
+    under another ``(cc, index)`` head, as well as under the same one.
+    """
+    conditions = draw(st.lists(_CONDITION, min_size=1, max_size=3))
+    counter_lists = draw(st.lists(_COUNTER_LIST, min_size=1, max_size=3))
     db = LookupDB()
     for _ in range(draw(st.integers(0, 8))):
-        condition = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        condition = draw(st.sampled_from(conditions))
         try:
             entry = db.add(condition, draw(st.integers(1, 3)), draw(st.floats(0.0, 1.0)))
         except ValueError:  # a (condition, prediction) pair drawn twice
             continue
-        for cc, index, counts in draw(st.lists(st.sampled_from(pool), max_size=3)):
-            if index > -len(condition):
-                slot = ContextSlot(sum(counts.values()), dict(counts))
-                entry.slots.setdefault(slot_key(cc, index), slot)
+        for _ in range(draw(st.integers(0, 3))):
+            cc = draw(st.integers(0, 1))
+            index = draw(st.integers(1 - len(condition), 0))
+            counts = draw(st.sampled_from(counter_lists))
+            slot = ContextSlot(sum(counts.values()), dict(counts))
+            entry.slots.setdefault(slot_key(cc, index), slot)
     return db
 
 
@@ -519,11 +589,19 @@ def test_dump_and_read_agree_with_the_uncached_ones(db, end):
 def test_a_mutated_snapshot_reads_as_the_uncached_reader_reads_it(db, data):
     lines = dump_snapshot(db, 0.8, 0.25).splitlines(keepends=True)
     at = data.draw(st.integers(0, len(lines) - 1))
-    how = data.draw(st.sampled_from(["copy", "insert", "char"]))
+    how = data.draw(st.sampled_from(["copy", "insert", "char", "rule"]))
+    entries = [i for i, line in enumerate(lines) if line.startswith("E ")]
     if how == "char":
         line = lines[at]
         pos = data.draw(st.integers(0, len(line) - 1))
         lines[at] = line[:pos] + data.draw(st.sampled_from(" 0123-:=xSE\t")) + line[pos + 1:]
+    elif how == "rule":
+        # An entry line takes the condition, prediction and p of any
+        # entry line, its own included, and keeps its id.
+        if entries:
+            at = data.draw(st.sampled_from(entries))
+            rule = lines[data.draw(st.sampled_from(entries))].partition(" cond=")[2]
+            lines[at] = f"{lines[at].partition(' cond=')[0]} cond={rule}"
     else:
         other = data.draw(st.sampled_from(lines))
         lines[at:at + (how == "copy")] = [other]
