@@ -516,8 +516,7 @@ def _parse_entry(
     The checks and their order are LookupDB.add's, after the fields are
     parsed.  A ``cond=`` token in ``conditions`` passed them before: it
     is not parsed or checked again, and its rule goes straight to the
-    trie path kept for it.  A new token is added there once its rule
-    is stored.
+    trie path kept for it.
     """
     if len(tokens) != 5:
         raise ValueError("entry line needs: E <id> cond=... pred=... p=...")
@@ -538,14 +537,13 @@ def _parse_entry(
     if known is None:
         for step in condition:
             _require_id("step", step)
+        # add_on_path fills the path in place.  A rejected rule ends the
+        # parse, and the table with it.
         path = []
+        conditions[tokens[2]] = condition, path
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    # A taken pair raises here; a new token's path is then not kept.
-    entry = db.add_on_path(path, condition, prediction, p)
-    if known is None:
-        conditions[tokens[2]] = condition, path
-    return entry
+    return db.add_on_path(path, condition, prediction, p)
 
 
 # What a slot line says, whatever entry it sits under:

@@ -590,7 +590,6 @@ def test_a_mutated_snapshot_reads_as_the_uncached_reader_reads_it(db, data):
     lines = dump_snapshot(db, 0.8, 0.25).splitlines(keepends=True)
     at = data.draw(st.integers(0, len(lines) - 1))
     how = data.draw(st.sampled_from(["copy", "insert", "char", "rule"]))
-    entries = [i for i, line in enumerate(lines) if line.startswith("E ")]
     if how == "char":
         line = lines[at]
         pos = data.draw(st.integers(0, len(line) - 1))
@@ -598,6 +597,7 @@ def test_a_mutated_snapshot_reads_as_the_uncached_reader_reads_it(db, data):
     elif how == "rule":
         # An entry line takes the condition, prediction and p of any
         # entry line, its own included, and keeps its id.
+        entries = [i for i, line in enumerate(lines) if line.startswith("E ")]
         if entries:
             at = data.draw(st.sampled_from(entries))
             rule = lines[data.draw(st.sampled_from(entries))].partition(" cond=")[2]
