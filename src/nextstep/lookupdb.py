@@ -372,9 +372,18 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
 
     ``alpha`` and ``theta`` are written as floats, as parse_snapshot
     reads them back, so an int 0 re-dumps as the same ``0.0``.  Each
-    distinct condition, slot head and ``ctx:count`` pair is formatted
-    once per dump: most conditions and counter pairs repeat across the
-    rules of a grown database.
+    distinct condition, slot head, counter list and ``ctx:count`` pair
+    is formatted once per dump: most of them repeat across the rules of
+    a grown database.
+
+    A counter list, the text after ``total=``, is found again by one
+    flat tuple: the slot's total, then its context ids, then its
+    counts, each in the dict's own order.  The tuple's length fixes
+    the number of pairs, so equal tuples mean equal text, and finding
+    one costs a tuple build and a hash, with no scan and no sort.  Two
+    equal dicts built in different orders miss and are formatted apart,
+    to the same text.  When no list repeats, the tuples and the table
+    are pure cost.
     """
     lines = [
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} "
@@ -382,6 +391,8 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     ]
     # "S <cc> <index> total=" of each distinct slot key, decoded once.
     heads: dict[SlotKey, str] = {}
+    # (total, *ids, *counts) -> "<total> ctx:count ...\n", made once.
+    lists: dict[tuple[int, ...], str] = {}
     cond_text = _ConditionText()
     pair_text = _PairText().__getitem__
     for entry in db:
@@ -393,8 +404,14 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
             if head is None:
                 cc, index = split_slot_key(key)
                 head = heads[key] = f"S {cc} {index} total="
-            pairs = " ".join(map(pair_text, sorted(slot.per_context.items())))
-            lines.append(f"{head}{slot.total} {pairs}\n")
+            counts = slot.per_context
+            found = (slot.total, *counts, *counts.values())
+            text = lists.get(found)
+            if text is None:
+                pairs = " ".join(map(pair_text, sorted(counts.items())))
+                text = lists[found] = f"{slot.total} {pairs}\n"
+            lines.append(head)
+            lines.append(text)
     return "".join(lines)
 
 

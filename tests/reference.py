@@ -17,7 +17,8 @@ its error, as they stood before that error was named in one pass.
 
 The snapshot oracle is ``dump_snapshot``, ``parse_snapshot`` and
 ``_parse_slot`` as they stood before the reader kept the reading of
-each slot line and the dump the text of each ``ctx:count`` pair, and
+each slot line and the dump the text of each ``ctx:count`` pair and of
+each counter list (the dump sorts and formats every slot's pairs), and
 ``_parse_entry`` as it stood before the reader kept the reading of each
 counter list and ``cond=`` token, with the three field helpers they
 call, copied unchanged.  It builds the package's own database types,

@@ -455,6 +455,34 @@ def test_a_repeated_counter_list_loads_into_its_own_dict():
     assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
 
 
+def test_each_counter_list_dumps_with_its_own_total_and_counts():
+    db = LookupDB()
+    first = db.add((1, 2), 3, 0.5)
+    # Built by hand: its total disagrees with its counts' sum, so
+    # parse_snapshot would reject the line it dumps to.
+    first.slots[slot_key(0, -1)] = ContextSlot(5, {5: 1, 6: 2})
+    first.slots[slot_key(0, 0)] = ContextSlot(3, {5: 1, 6: 2})
+    second = db.add((3, 2), 1, 0.25)
+    second.slots[slot_key(0, 0)] = ContextSlot(3, {5: 1, 6: 2})
+    second.slots[slot_key(1, 0)] = ContextSlot(3, {6: 2, 5: 1})
+    second.slots[slot_key(1, -1)] = ContextSlot(3, {5: 2, 6: 1})
+    before = [(key, slot.total, list(slot.per_context.items()), id(slot.per_context))
+              for entry in db for key, slot in entry.slots.items()]
+    text = dump_snapshot(db, 0.8, 0.5)
+    assert text == HEADER + (
+        "E 0 cond=1,2 pred=3 p=0.5\n"
+        "S 0 -1 total=5 5:1 6:2\n"
+        "S 0 0 total=3 5:1 6:2\n"
+        "E 1 cond=3,2 pred=1 p=0.25\n"
+        "S 0 0 total=3 5:1 6:2\n"
+        "S 1 -1 total=3 5:2 6:1\n"
+        "S 1 0 total=3 5:1 6:2\n"
+    )
+    assert text == reference.dump_snapshot(db, 0.8, 0.5)
+    assert [(key, slot.total, list(slot.per_context.items()), id(slot.per_context))
+            for entry in db for key, slot in entry.slots.items()] == before
+
+
 # An entry line after one whose cond= token it repeats: (line, message).
 REPEATED_CONDITIONS = [
     ("E 1 cond=1,2 pred=3 p=0.5", "entry with condition (1, 2) predicting 3 already exists"),
@@ -537,6 +565,9 @@ def repeating_dbs(draw):
 
     A condition comes back under another prediction, and a counter list
     under another ``(cc, index)`` head, as well as under the same one.
+    A counter list also comes back with its counts in another insertion
+    order, and as another list of the same total and size: its counts
+    moved one context along, so ``{5: 1, 6: 2}`` beside ``{5: 2, 6: 1}``.
     """
     conditions = draw(st.lists(_CONDITION, min_size=1, max_size=3))
     counter_lists = draw(st.lists(_COUNTER_LIST, min_size=1, max_size=3))
@@ -550,8 +581,15 @@ def repeating_dbs(draw):
         for _ in range(draw(st.integers(0, 3))):
             cc = draw(st.integers(0, 1))
             index = draw(st.integers(1 - len(condition), 0))
-            counts = draw(st.sampled_from(counter_lists))
-            slot = ContextSlot(sum(counts.values()), dict(counts))
+            items = list(draw(st.sampled_from(counter_lists)).items())
+            how = draw(st.sampled_from(["same", "reordered", "counts-moved"]))
+            if how == "reordered":
+                items = draw(st.permutations(items))
+            elif how == "counts-moved":
+                ids, counts = zip(*items)
+                items = zip(ids, counts[1:] + counts[:1])
+            counts = dict(items)
+            slot = ContextSlot(sum(counts.values()), counts)
             entry.slots.setdefault(slot_key(cc, index), slot)
     return db
 
