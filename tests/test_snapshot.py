@@ -466,8 +466,11 @@ def test_each_counter_list_dumps_with_its_own_total_and_counts():
     second.slots[slot_key(0, 0)] = ContextSlot(3, {5: 1, 6: 2})
     second.slots[slot_key(1, 0)] = ContextSlot(3, {6: 2, 5: 1})
     second.slots[slot_key(1, -1)] = ContextSlot(3, {5: 2, 6: 1})
-    before = [(key, slot.total, list(slot.per_context.items()), id(slot.per_context))
-              for entry in db for key, slot in entry.slots.items()]
+    def slots():
+        return [(key, slot.total, list(slot.per_context.items()), id(slot.per_context))
+                for entry in db for key, slot in entry.slots.items()]
+
+    before = slots()
     text = dump_snapshot(db, 0.8, 0.5)
     assert text == HEADER + (
         "E 0 cond=1,2 pred=3 p=0.5\n"
@@ -479,8 +482,7 @@ def test_each_counter_list_dumps_with_its_own_total_and_counts():
         "S 1 0 total=3 5:1 6:2\n"
     )
     assert text == reference.dump_snapshot(db, 0.8, 0.5)
-    assert [(key, slot.total, list(slot.per_context.items()), id(slot.per_context))
-            for entry in db for key, slot in entry.slots.items()] == before
+    assert slots() == before
 
 
 # An entry line after one whose cond= token it repeats: (line, message).
