@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lookupdb import (
     ContextTable,
@@ -35,6 +35,9 @@ from .window import (
 
 ENGINE_MODES = ("context", "baseline")
 EXTENSION_DIRECTIONS = ("append-observation", "extend-into-past")
+
+_BY_P = attrgetter("p")
+_BY_ID = attrgetter("entry_id")
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,12 @@ def relevance_mean(strong: list[float] | None) -> float:
     return sum(strong) / len(strong)
 
 
-@dataclass(frozen=True)
-class PredictionResult:
-    """The winning suggestion and the rule it came from."""
+class PredictionResult(NamedTuple):
+    """The winning suggestion and the rule it came from.
+
+    A named tuple: its fields cannot be reassigned, and it is built for
+    about half the cost of a frozen dataclass, once per predict().
+    """
 
     step: StepId
     actual_p: float
@@ -140,8 +146,11 @@ class Engine:
         self._memo: tuple[Matches, ContextTable, SlotKeys] = (Matches(), [], [])
 
     def _state(self) -> tuple[Matches, ContextTable, SlotKeys]:
-        """The window's matches (id ascending), context table and slot keys.
+        """The window's matches, context table and slot keys.
 
+        The matches are LookupDB.walk's, in trie order: shortest
+        condition first, each condition's rules in id order.  Only
+        extension needs id order, and it sorts the few parents it grows.
         None of them may be modified.  Rules are only ever added, so the
         state is read again only when the db, its size, the window or
         its push count changed: predict(), learn() and extension share
@@ -154,7 +163,7 @@ class Engine:
             if len(keys) < len(window):
                 keys.extend(slot_keys(self.classifications, len(window), len(keys)))
             self._stamp = stamp
-            self._memo = (self.db.matching_entries(window), window.context_table(), keys)
+            self._memo = (self.db.walk(window), window.context_table(), keys)
         return self._memo
 
     def predict(self) -> PredictionResult | None:
@@ -166,14 +175,17 @@ class Engine:
         scored in descending p and the scan stops at the first whose p
         is below the best actual p so far, as neither it nor any later
         match can win.  An equal p can still tie, so it is scored.
-        The suggestion is remembered and scored by the next learn().
+        The sort is stable and the tie key ends in the entry id, so the
+        order the matches come in (trie order) does not change the
+        winner.  The suggestion is remembered and scored by the next
+        learn().
         """
         matches, table, keys = self._state()
         scoring = self.config.engine_mode == "context"
         best: Entry | None = None
         best_key: tuple[float, int, float, int] | None = None
         best_actual_p = 0.0
-        for entry in sorted(matches, key=attrgetter("p"), reverse=True):
+        for entry in sorted(matches, key=_BY_P, reverse=True):
             if entry.p < best_actual_p:
                 break
             if scoring:
@@ -280,35 +292,46 @@ class Engine:
         child: the pair rule has length 1, and no two children share a
         length and a prediction.
 
+        The parents that need a child are picked first, in the walk's
+        trie order; since no stored child can fake another, the pick
+        does not depend on order.  Only the picked parents are sorted
+        by id, when there are two or more, so children get their ids in
+        their parents' id order.
+
         Children are stored straight on that path by add_on_path, from
         the node of their length, or from the path's end where the walk
         stopped short.  Their steps come from the parent and the window,
         which checked them, so no id is checked again.  The path is
-        copied once, at the first child, and the copy grows with the
-        nodes made for it, so a later child reuses them.
+        copied once, and the copy grows with the nodes made for it, so a
+        later child reuses them.
         """
         append = self.config.extension_direction == "append-observation"
         path = pushed.path if append else matches.path
         depth = len(path)
         limit = len(self.window)
-        step_at = self.window.step_at
-        add_on_path = self.db.add_on_path
-        grown: list | None = None
+        growing = []
         for parent in matches:
-            condition = parent.condition
-            length = len(condition)
+            length = len(parent.condition)
             if length + 1 >= limit:
                 continue
             if length < depth and parent.prediction in path[length].rules:
                 continue
+            growing.append(parent)
+        if not growing:
+            return
+        if len(growing) > 1:
+            growing.sort(key=_BY_ID)
+        step_at = self.window.step_at
+        add_on_path = self.db.add_on_path
+        grown = path.copy()
+        for parent in growing:
+            condition = parent.condition
             if append:
                 condition += (step,)
             else:
                 # Prepend the step just older than the span the parent
-                # matched, which sits at window index -(length + 1).
-                condition = (step_at(-length - 1),) + condition
-            if grown is None:
-                grown = path.copy()
+                # matched, which sits at window index -(len(condition) + 1).
+                condition = (step_at(-len(condition) - 1),) + condition
             # Children start with empty counters on purpose: copying the
             # parent's counters lets statistics gathered by a wrong
             # ancestor outvote everything the child itself ever observes,

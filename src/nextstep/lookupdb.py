@@ -215,8 +215,15 @@ def record_contexts(
                 counts[ctx] = counts.get(ctx, 0) + 1
 
 
+_BY_ID = attrgetter("entry_id")
+
+
 class Matches(list):
-    """LookupDB.matching_entries' result: the matching entries, id ascending.
+    """The entries matching a window, and the trie path that found them.
+
+    LookupDB.walk returns them in trie order: shortest condition first,
+    and the rules of one condition in id order.  LookupDB.matching_entries
+    returns them id ascending.
 
     ``path[k]`` is the trie node the walk reached after ``k + 1`` steps:
     its ``rules`` map prediction to entry for the rules whose
@@ -261,9 +268,6 @@ class LookupDB:
 
     def __iter__(self) -> Iterator[Entry]:
         return iter(self._entries)
-
-    def entry(self, entry_id: int) -> Entry:
-        return self._entries[entry_id]
 
     def add(self, condition: tuple[StepId, ...], prediction: StepId, p: float) -> Entry:
         """Store a new rule; (condition, prediction) must be unused.
@@ -324,13 +328,16 @@ class LookupDB:
         node.rules[prediction] = entry
         return entry
 
-    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> Matches:
-        """All entries matching the window at ``offset``, id ascending.
+    def walk(self, window: ObservationWindow, offset: int = 0) -> Matches:
+        """All entries matching the window at ``offset``, in trie order.
 
-        Equivalent to filtering with condition_matches.  One walk down
-        the trie reads the window's steps from index ``-offset`` back
-        and stops at the first step with no child; the nodes it passed
-        through come back as the result's ``path``.
+        One walk down the trie reads the window's steps from index
+        ``-offset`` back and stops at the first step with no child; the
+        nodes it passed through come back as the result's ``path``.  The
+        entries come node by node, so the shortest condition comes
+        first, and each node's rules in id order, the order they were
+        stored in.  A longer rule can have the lower id, so the list as
+        a whole is not id ascending.
         """
         node = self._root
         matches = Matches()
@@ -343,7 +350,16 @@ class LookupDB:
             rules = node.rules
             if rules:
                 matches.extend(rules.values())
-        matches.sort(key=attrgetter("entry_id"))
+        return matches
+
+    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> Matches:
+        """All entries matching the window at ``offset``, id ascending.
+
+        Equivalent to filtering with condition_matches: walk()'s entries,
+        sorted by id, with the same ``path``.
+        """
+        matches = self.walk(window, offset)
+        matches.sort(key=_BY_ID)
         return matches
 
 

@@ -120,6 +120,10 @@ class ObservationWindow:
         """
         if offset < 0:
             raise WindowRangeError(f"offset {offset} must not be negative")
+        if not offset:
+            # The engine's every walk: the deque's own iterator skips
+            # islice's per-item step.
+            return iter(self._entries)
         return islice(self._entries, offset, None)
 
     def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:

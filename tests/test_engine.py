@@ -338,6 +338,21 @@ def test_prediction_result_names_the_winning_entry():
     assert result.entry_id == 1
 
 
+def test_a_prediction_result_is_read_only_and_keeps_its_fields():
+    engine = make_engine()
+    engine.learn(Observation(3))
+    engine.db.add((3,), 2, 0.6)
+    result = engine.predict()
+    assert (result.step, result.actual_p, result.entry_id, result.condition) == (
+        2, 0.6, 0, (3,))
+    assert repr(result) == (
+        "PredictionResult(step=2, actual_p=0.6, entry_id=0, condition=(3,))")
+    for name in ("step", "actual_p", "entry_id", "condition"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, None)
+    assert result.step == 2
+
+
 # -- the bounded scan ---------------------------------------------------------
 
 
@@ -441,7 +456,7 @@ def test_two_steps_store_exactly_the_pair_rule():
     engine = make_engine()
     feed(engine, [2, 3])
     assert len(engine.db) == 1
-    entry = engine.db.entry(0)
+    entry = list(engine.db)[0]
     assert (entry.condition, entry.prediction) == ((2,), 3)
     assert entry.p == Q
 
@@ -611,7 +626,7 @@ def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
         finally:
             inside.pop()
 
-    for name in ("add", "add_on_path", "matching_entries"):
+    for name in ("add", "add_on_path", "matching_entries", "walk"):
         monkeypatch.setattr(LookupDB, name, counting(name))
     monkeypatch.setattr(Engine, "_extend", tracking_extend)
     size = len(engine.db)
@@ -638,7 +653,7 @@ def test_children_inherit_p_from_rules_older_than_the_fresh_pair_rule(direction)
     assert engine.learn(Observation(1)) is True
     assert find_entry(engine.db, (1,), 1).p == Q
     assert len(engine.db) == 5
-    children = [engine.db.entry(i) for i in (3, 4)]
+    children = list(engine.db)[3:5]
     if direction == "append-observation":
         assert [(c.condition, c.prediction) for c in children] == [
             ((2, 1, 1), 1), ((1, 1), 3)]
@@ -646,6 +661,28 @@ def test_children_inherit_p_from_rules_older_than_the_fresh_pair_rule(direction)
         assert [(c.condition, c.prediction) for c in children] == [
             ((3, 2, 1), 1), ((2, 1), 3)]
     assert [c.p for c in children] == [ALPHA * 0.16] * 2
+
+
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_children_take_ids_in_their_parents_id_order(direction):
+    # The walk yields the length-1 rule before the older length-3 rule,
+    # and both grow on the correct step: the older parent's child must
+    # still be stored first.
+    db = LookupDB()
+    db.add((1, 2, 3), 4, 0.5)
+    db.add((3,), 4, 0.5)
+    engine = make_engine(steps=(1, 2, 3, 4), classifications=(), db=db,
+                         extension_direction=direction)
+    for step in (4, 1, 2, 3):
+        engine.window.push(Observation(step))
+    assert [e.entry_id for e in engine.db.walk(engine.window)] == [1, 0]
+    assert engine.predict().step == 4
+    assert engine.learn(Observation(4)) is True
+    children = [(c.condition, c.prediction) for c in list(engine.db)[2:]]
+    if direction == "append-observation":
+        assert children == [((1, 2, 3, 4), 4), ((3, 4), 4)]
+    else:
+        assert children == [((4, 1, 2, 3), 4), ((2, 3), 4)]
 
 
 @pytest.mark.parametrize("direction,child", [
@@ -869,7 +906,7 @@ def test_window_length_rules_are_reinforced_decayed_and_counted(source):
     shadow = make_shadow(3)
     shadow.entries = [{"cond": (1, 2, 3), "pred": pred, "p": 0.5, "slots": {}}
                       for pred in (1, 4)]
-    hit, miss = engine.db.entry(0), engine.db.entry(1)
+    hit, miss = list(engine.db)[:2]
     events = [(step, {0: step, 1: 0}) for step in (1, 2, 3, 1)]
     run_lockstep(engine, shadow, events)
     assert hit.p == ALPHA * 0.5 + Q
@@ -905,7 +942,7 @@ def test_rule_added_between_predict_and_learn_is_updated():
                     shadow.entries.append(
                         {"cond": condition, "pred": prediction, "p": 0.5, "slots": {}}
                     )
-                    added.append(engine.db.entry(len(engine.db) - 1))
+                    added.append(list(engine.db)[-1])
                     return
 
     run_lockstep(engine, shadow, random_events(random.Random(23), 120),
@@ -972,13 +1009,15 @@ def test_a_mature_step_looks_the_window_up_once(monkeypatch, direction):
     else:
         pytest.fail("the rule database never stopped growing")
     calls = []
-    original = LookupDB.matching_entries
+    original = LookupDB.walk
 
     def counting(db, window, offset=0):
         calls.append(offset)
         return original(db, window, offset)
 
-    monkeypatch.setattr(LookupDB, "matching_entries", counting)
+    # matching_entries() walks through walk() too, so this counts every
+    # trie walk, whichever of the two the engine calls.
+    monkeypatch.setattr(LookupDB, "walk", counting)
     size = len(engine.db)
     predictions = feed(engine, lap * 10)
     assert predictions == lap * 10

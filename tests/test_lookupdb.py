@@ -130,7 +130,7 @@ def test_add_assigns_dense_ids():
     a = db.add((1,), 2, 0.2)
     b = db.add((1, 2), 3, 0.2)
     assert (a.entry_id, b.entry_id) == (0, 1)
-    assert db.entry(1).condition == (1, 2)
+    assert list(db)[1].condition == (1, 2)
 
 
 def test_add_keeps_predictions_apart():
@@ -228,6 +228,8 @@ def test_matching_entries_ids_are_sorted():
     db.add((3,), 2, 0.5)
     window = window_from([1, 2, 3])
     assert [e.entry_id for e in db.matching_entries(window, 0)] == [0, 1, 2]
+    # The walk itself yields trie order: shorter conditions first.
+    assert [e.entry_id for e in db.walk(window, 0)] == [0, 2, 1]
 
 
 def test_matching_entries_rejects_a_negative_offset():
@@ -329,6 +331,13 @@ def test_matching_entries_equals_per_entry_matching(grow):
                 if brute_match(list(e.condition), newest_first, offset)]
         assert fast == slow
         assert slow == [e.entry_id for e in db if condition_matches(e, window, offset)]
+        # walk() holds the same entries in trie order: by condition
+        # length, then id.  It is what the engine reads at offset 0.
+        walked = db.walk(window, offset)
+        assert sorted(e.entry_id for e in walked) == fast
+        assert [(len(e.condition), e.entry_id) for e in walked] == sorted(
+            (len(e.condition), e.entry_id) for e in walked)
+        assert walked.path == found.path
         # path holds the nodes the walk passed: node k holds the matches
         # of length k + 1, and the path ends where no stored condition
         # has the run's newest steps as its suffix any more.

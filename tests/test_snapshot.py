@@ -113,7 +113,7 @@ def test_a_classification_id_past_32_bits_round_trips():
     for step, contexts in trace:
         engine.predict()
         engine.learn(Observation(step, contexts))
-    pair = engine.db.entry(2)
+    pair = list(engine.db)[2]
     assert pair.condition == (1, 2)
     pair.slots[slot_key(big, -1)] = ContextSlot(1, {9: 1})
     pair.slots[slot_key(0, 0)] = ContextSlot(1, {8: 1})
@@ -173,13 +173,13 @@ def test_failed_replace_removes_the_temporary_file(tmp_path, monkeypatch):
 
 def test_parsed_entries_keep_ids_and_values():
     db, _, _ = parse_snapshot(dump_snapshot(small_db(), 0.8, 0.5))
-    entry = db.entry(0)
+    entry = list(db)[0]
     assert entry.condition == (1, 2, 3)
     assert entry.prediction == 1
     assert entry.p == 0.9
     assert entry.slots[slot_key(0, 0)].per_context == {5: 2}
     assert entry.slots[slot_key(0, 0)].total == 2
-    assert db.entry(1).condition == (2,)
+    assert list(db)[1].condition == (2,)
 
 
 HEADER = "LOOKUPDB v1 alpha=0.8 theta=0.5\n"
@@ -300,7 +300,7 @@ def test_slot_pairs_read_as_the_two_pass_reader_reads_them(good, rest):
         assert str(excinfo.value) == f"line 3: {exc}"
         return
     db, _, _ = parse_snapshot(HEADER + ENTRY + f"S 0 0 total={total} {' '.join(tokens)}\n")
-    assert db.entry(0).slots == {slot_key(0, 0): ContextSlot(total, per_context)}
+    assert list(db)[0].slots == {slot_key(0, 0): ContextSlot(total, per_context)}
 
 
 def test_bad_condition_id_is_named_with_its_line():
@@ -422,7 +422,7 @@ def test_repeated_slot_lines_get_their_own_counters():
     first, second = (entry.slots[slot_key(0, 0)] for entry in db)
     assert first == second == ContextSlot(2, {5: 1, 6: 1})
     assert first.per_context is not second.per_context
-    record_contexts(db.entry(1), [{0: 6}], slot_keys((0,), 1))
+    record_contexts(list(db)[1], [{0: 6}], slot_keys((0,), 1))
     assert (first, second) == (ContextSlot(2, {5: 1, 6: 1}), ContextSlot(3, {5: 1, 6: 2}))
 
 
@@ -432,8 +432,8 @@ def test_a_loaded_engine_counts_into_one_of_two_repeated_slots():
     # 1 then 2 is a hit for entry 0 (cond=1 pred=2), which counts context 5.
     engine.learn(Observation(1, {0: 5}))
     engine.learn(Observation(2, {0: 7}))
-    assert db.entry(0).slots[slot_key(0, 0)] == ContextSlot(3, {5: 2, 6: 1})
-    assert db.entry(1).slots[slot_key(0, 0)] == ContextSlot(2, {5: 1, 6: 1})
+    assert list(db)[0].slots[slot_key(0, 0)] == ContextSlot(3, {5: 2, 6: 1})
+    assert list(db)[1].slots[slot_key(0, 0)] == ContextSlot(2, {5: 1, 6: 1})
 
 
 # One counter list under three heads: twice under entry 0, once under
@@ -447,11 +447,11 @@ SHARED_COUNTERS = (
 
 def test_a_repeated_counter_list_loads_into_its_own_dict():
     db, _, _ = parse_snapshot(SHARED_COUNTERS)
-    slots = [db.entry(0).slots[slot_key(0, 0)], db.entry(0).slots[slot_key(1, -1)],
-             db.entry(1).slots[slot_key(1, 0)]]
+    slots = [list(db)[0].slots[slot_key(0, 0)], list(db)[0].slots[slot_key(1, -1)],
+             list(db)[1].slots[slot_key(1, 0)]]
     assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 3
     assert len({id(slot.per_context) for slot in slots}) == 3
-    record_contexts(db.entry(1), [{1: 6}], slot_keys((1,), 1))
+    record_contexts(list(db)[1], [{1: 6}], slot_keys((1,), 1))
     assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
 
 
@@ -526,7 +526,7 @@ def test_rules_over_a_repeated_condition_land_on_its_trie_node():
         window.push(Observation(step, {}))
     matches = db.matching_entries(window)
     assert [entry.entry_id for entry in matches] == [0, 1, 2, 3]
-    assert matches.path[1].rules == {3: db.entry(0), 4: db.entry(2), 1: db.entry(3)}
+    assert matches.path[1].rules == {3: list(db)[0], 4: list(db)[2], 1: list(db)[3]}
 
 
 # (lines, line number, message): a repeat of an earlier slot line that
