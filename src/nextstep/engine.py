@@ -149,12 +149,14 @@ class Engine:
         """The window's matches, context table and slot keys.
 
         The matches are LookupDB.walk's, in trie order: shortest
-        condition first, each condition's rules in id order.  Only
-        extension needs id order, and it sorts the few parents it grows.
-        None of them may be modified.  Rules are only ever added, so the
-        state is read again only when the db, its size, the window or
-        its push count changed: predict(), learn() and extension share
-        one read per state.
+        condition first, each condition's rules in id order.  Only the
+        growth step needs id order, and it sorts the few parents learn()
+        picks.  None of them may be modified.  Rules are only ever
+        added, so the state is read again only when the db, its size,
+        the window or its push count changed: predict() and learn()
+        share one read per state.  A correct learn() reads the window
+        after its push before it stores any rule, and the next
+        predict() reuses that read when no rule was added.
         """
         window = self.window
         stamp = (self.db, len(self.db), window, window.pushes)
@@ -213,11 +215,26 @@ class Engine:
         there was none to score.  Order matters and is fixed: take the
         rules matching the window before the push, with that window's
         context table and newest step, push the observation, score the
-        open prediction, update every rule taken before the push, take
-        the rules matching the window after it and the p children
-        inherit, store the fresh length-1 rule, then extend.  Only a rule
-        that predicted the step counts contexts, from that table, the
-        span it matched; a rule that missed counts nothing.
+        open prediction, and on a correct step take the rules matching
+        the window after the push.  Then one loop over the rules taken
+        before the push reinforces or decays each, collects the ones
+        that predicted the step and, on a correct step, picks the
+        parents that lack a child.  The p children inherit is read only
+        when some parent grows, before the fresh length-1 rule is
+        stored; the rules that predicted the step and that fresh rule
+        count contexts in one record_contexts() call, from that table,
+        the span they matched; then the picked parents grow.  A rule
+        that missed counts nothing.
+
+        A child is a suffix of the window, after the push when it
+        appends the observation and before it when it extends into the
+        past.  Either way it stays shorter than the window after the
+        push, so no child is as long as ``window_capacity``.  The child
+        of a rule of length L exists iff node L of that window's walk
+        path holds the parent's prediction; the db is never probed.  The
+        pick reads those nodes before anything is stored, and since no
+        two children share a length and a prediction, it does not
+        depend on the order the rules come in.
         """
         window = self.window
         matches, table, keys = self._state()
@@ -227,31 +244,52 @@ class Engine:
         correct: bool | None = None
         if self._last_prediction is not None:
             correct = self._last_prediction == step
+        if correct:
+            # The walk reads no p, so the post-push read may come before
+            # the updates; it must come before any rule is stored.
+            pushed = self._state()[0]
+            append = self.config.extension_direction == "append-observation"
+            path = pushed.path if append else matches.path
+            depth = len(path)
+            # A rule of this length or longer has a child as long as the
+            # window after the push, or longer.
+            limit = len(window) - 1
         alpha = self.config.alpha
         gain = 1.0 - alpha
-        # A hit reinforces toward 1 and counts contexts; a miss decays toward 0.
+        counted = []
+        growing = []
+        # A hit reinforces toward 1 and is counted below; a miss decays
+        # toward 0.
         for entry in matches:
-            if entry.prediction == step:
+            prediction = entry.prediction
+            if prediction == step:
                 entry.p = alpha * entry.p + gain
-                record_contexts(entry, table, keys)
+                counted.append(entry)
             else:
                 entry.p = alpha * entry.p
-        if correct:
-            # Taken before any rule is stored: the pushed nodes are
-            # live, and the fresh pair rule lands on their path when
+            if correct:
+                length = len(entry.condition)
+                if length < limit and (
+                    length >= depth or prediction not in path[length].rules
+                ):
+                    growing.append(entry)
+        if growing:
+            # Read before the pair rule is stored: the pushed nodes are
+            # live, and the pair rule lands on their path when
             # previous == step.
-            pushed = self._state()[0]
             inherit_p = self._inherited_p(pushed)
         # The pair rule (previous,)->step sits at the pre-push walk's
         # first node, if the walk got that far.  A copy of that one-node
         # path is grown, so the walk's own path stays as walked.
         if previous is not None:
-            path = matches.path
-            if not path or step not in path[0].rules:
-                pair = self.db.add_on_path(path[:1], (previous,), step, gain)
-                record_contexts(pair, table, keys)
-        if correct:
-            self._extend(matches, pushed, step, inherit_p)
+            walked = matches.path
+            if not walked or step not in walked[0].rules:
+                pair = self.db.add_on_path(walked[:1], (previous,), step, gain)
+                counted.append(pair)
+        if counted:
+            record_contexts(counted, table, keys)
+        if growing:
+            self._extend(growing, path, step, inherit_p)
         self._last_prediction = None
         return correct
 
@@ -274,29 +312,17 @@ class Engine:
         return 1.0 - self.config.alpha
 
     def _extend(
-        self, matches: Matches, pushed: Matches, step: StepId, inherit_p: float
+        self, growing: list[Entry], path: list, step: StepId, inherit_p: float
     ) -> None:
-        """Grow every rule in ``matches``, hit or miss, by one step.
+        """Store one child for each parent in ``growing``.
 
-        Children start at ``inherit_p``.  ``matches`` and ``pushed``
-        hold the rules matching the window before and after the push,
-        and ``step`` is the newest one.
-
-        A child is a suffix of the window, after the push when it
-        appends the observation and before it when it extends into the
-        past.  Either way it stays shorter than the window after the
-        push, so no child is as long as ``window_capacity``.  The child
-        of a rule of length L exists iff node L of that window's walk
-        path holds the parent's prediction; the db is never probed.  The
-        nodes are live, but nothing stored since the walks can fake a
-        child: the pair rule has length 1, and no two children share a
-        length and a prediction.
-
-        The parents that need a child are picked first, in the walk's
-        trie order; since no stored child can fake another, the pick
-        does not depend on order.  Only the picked parents are sorted
-        by id, when there are two or more, so children get their ids in
-        their parents' id order.
+        learn() picked the parents, in the walk's trie order, and only
+        calls this when there is one.  Children start at ``inherit_p``;
+        ``path`` is the walk path the pick read, of the window after the
+        push when appending and before it when extending into the past,
+        and ``step`` is the newest step.  The parents are sorted by id
+        when there are two or more, so children get their ids in their
+        parents' id order.
 
         Children are stored straight on that path by add_on_path, from
         the node of their length, or from the path's end where the walk
@@ -306,19 +332,6 @@ class Engine:
         later child reuses them.
         """
         append = self.config.extension_direction == "append-observation"
-        path = pushed.path if append else matches.path
-        depth = len(path)
-        limit = len(self.window)
-        growing = []
-        for parent in matches:
-            length = len(parent.condition)
-            if length + 1 >= limit:
-                continue
-            if length < depth and parent.prediction in path[length].rules:
-                continue
-            growing.append(parent)
-        if not growing:
-            return
         if len(growing) > 1:
             growing.sort(key=_BY_ID)
         step_at = self.window.step_at

@@ -183,36 +183,42 @@ def context_fit(
 
 
 def record_contexts(
-    entry: Entry,
+    entries: Sequence[Entry],
     table: ContextTable,
     keys: SlotKeys,
 ) -> None:
-    """Count the table's contexts into the entry's per-index slots.
+    """Count the table's contexts into each entry's per-index slots.
 
     ``table`` holds context mappings newest first, as
     ObservationWindow.context_table() does, and condition index -pos
     reads ``table[pos]`` under the premade ``keys[pos]`` of slot_keys().
-    The entry must match the table's window at offset 0, as for
-    context_fit().  Absent contexts are skipped entirely, so a slot's
-    total only grows when its classification was actually observed there.
+    Every entry must match the table's window at offset 0, as for
+    context_fit(); the engine passes all the rules one step counts in
+    one call.  Each entry's length is checked against the table before
+    anything is counted, so a rejected batch leaves every slot as it
+    was.  Absent contexts are skipped entirely, so a slot's total only
+    grows when its classification was actually observed there.
     """
-    length = len(entry.condition)
-    if length > len(table):
-        raise _table_too_short(length, len(table))
-    slots = entry.slots
-    for pos in range(length - 1, -1, -1):
-        contexts = table[pos]
-        for cc, key in keys[pos]:
-            ctx = contexts.get(cc)
-            if ctx is None:
-                continue
-            slot = slots.get(key)
-            if slot is None:
-                slots[key] = ContextSlot(1, {ctx: 1})
-            else:
-                slot.total += 1
-                counts = slot.per_context
-                counts[ctx] = counts.get(ctx, 0) + 1
+    rows = len(table)
+    for entry in entries:
+        length = len(entry.condition)
+        if length > rows:
+            raise _table_too_short(length, rows)
+    for entry in entries:
+        slots = entry.slots
+        for pos in range(len(entry.condition) - 1, -1, -1):
+            contexts = table[pos]
+            for cc, key in keys[pos]:
+                ctx = contexts.get(cc)
+                if ctx is None:
+                    continue
+                slot = slots.get(key)
+                if slot is None:
+                    slots[key] = ContextSlot(1, {ctx: 1})
+                else:
+                    slot.total += 1
+                    counts = slot.per_context
+                    counts[ctx] = counts.get(ctx, 0) + 1
 
 
 _BY_ID = attrgetter("entry_id")

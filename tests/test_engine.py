@@ -594,20 +594,24 @@ def test_child_condition_taken_by_another_prediction_still_grows(direction):
     run_lockstep(engine, shadow, events[4:])
 
 
+def mature(engine, lap, contexts=None):
+    """Feed ``lap`` until a whole lap stores no rule."""
+    for _ in range(300):
+        size = len(engine.db)
+        feed(engine, lap, contexts)
+        if len(engine.db) == size:
+            return
+    pytest.fail("the rule database never stopped growing")
+
+
 def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
     engine = make_engine(steps=(1, 2, 3), classifications=())
     lap = [1, 2, 3]
-    for _ in range(300):
-        size = len(engine.db)
-        feed(engine, lap)
-        if len(engine.db) == size:
-            break
-    else:
-        pytest.fail("the rule database never stopped growing")
+    mature(engine, lap)
     inside = []
     probes = []
-    extensions = []
-    original_extend = Engine._extend
+    learned = []
+    original_learn = Engine.learn
 
     def counting(name):
         original = getattr(LookupDB, name)
@@ -618,22 +622,78 @@ def test_a_mature_correct_step_extends_without_probing_the_db(monkeypatch):
             return original(db, *args)
         return wrapper
 
-    def tracking_extend(self, *args):
+    def tracking_learn(self, *args):
         inside.append(True)
-        extensions.append(args)
         try:
-            return original_extend(self, *args)
+            learned.append(original_learn(self, *args))
+            return learned[-1]
         finally:
             inside.pop()
 
-    for name in ("add", "add_on_path", "matching_entries", "walk"):
+    for name in ("add", "add_on_path", "matching_entries"):
         monkeypatch.setattr(LookupDB, name, counting(name))
-    monkeypatch.setattr(Engine, "_extend", tracking_extend)
+    monkeypatch.setattr(Engine, "learn", tracking_learn)
     size = len(engine.db)
     assert feed(engine, lap * 10) == lap * 10
     assert len(engine.db) == size
-    assert len(extensions) == 30
+    assert learned == [True] * 30
     assert probes == []
+
+
+@pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
+def test_a_mature_correct_step_neither_inherits_nor_grows(monkeypatch, direction):
+    # Every parent already has its child, so no p is inherited and the
+    # growth step is never entered.
+    engine = make_engine(steps=(1, 2, 3), classifications=(),
+                         extension_direction=direction)
+    lap = [1, 2, 3]
+    mature(engine, lap)
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(Engine, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        return wrapper
+
+    for name in ("_inherited_p", "_extend"):
+        monkeypatch.setattr(Engine, name, counting(name))
+    assert feed(engine, lap * 10) == lap * 10
+    assert calls == Counter()
+
+
+def test_one_call_counts_every_rule_that_predicted_the_step_and_the_pair_rule(
+    monkeypatch,
+):
+    # Two rules predict 2 and one predicts 3 after 4 3 1; observing 2
+    # also stores the pair rule (1,)->2.  The children grown on this
+    # correct step start with empty counters and are not counted.
+    db = LookupDB()
+    short = db.add((3, 1), 2, 0.5)
+    db.add((1,), 3, 0.3)
+    long = db.add((4, 3, 1), 2, 0.4)
+    engine = make_engine(db=db)
+    for step in (4, 3, 1):
+        engine.window.push(Observation(step, {0: step}))
+    calls = []
+    original = nextstep.engine.record_contexts
+
+    def recording(entries, table, keys):
+        calls.append(list(entries))
+        return original(entries, table, keys)
+
+    monkeypatch.setattr(nextstep.engine, "record_contexts", recording)
+    assert engine.predict().step == 2
+    assert engine.learn(Observation(2, {0: 2})) is True
+    pair = find_entry(engine.db, (1,), 2)
+    assert [[entry.entry_id for entry in call] for call in calls] == [
+        [short.entry_id, long.entry_id, pair.entry_id]
+    ]
+    assert pair.slots[slot_key(0, 0)].per_context == {1: 1}
+    assert len(engine.db) > 4
+    assert all(entry.slots == {} for entry in list(engine.db)[4:])
 
 
 @pytest.mark.parametrize("direction", ["append-observation", "extend-into-past"])
@@ -1001,13 +1061,7 @@ def test_a_mature_step_looks_the_window_up_once(monkeypatch, direction):
     engine = make_engine(steps=(1, 2, 3), classifications=(),
                          extension_direction=direction)
     lap = [1, 2, 3]
-    for _ in range(300):
-        size = len(engine.db)
-        feed(engine, lap)
-        if len(engine.db) == size:
-            break
-    else:
-        pytest.fail("the rule database never stopped growing")
+    mature(engine, lap)
     calls = []
     original = LookupDB.walk
 
@@ -1031,13 +1085,7 @@ def test_a_mature_context_step_reads_the_context_table_once(monkeypatch, directi
                          extension_direction=direction)
     lap = [1, 2, 3]
     contexts = [{0: step} for step in lap]
-    for _ in range(300):
-        size = len(engine.db)
-        feed(engine, lap, contexts)
-        if len(engine.db) == size:
-            break
-    else:
-        pytest.fail("the rule database never stopped growing")
+    mature(engine, lap, contexts)
     calls = []
     original = ObservationWindow.context_table
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -104,7 +105,7 @@ def count_contexts(*contexts):
     entry = LookupDB().add((1,), 2, 0.5)
     keys = slot_keys((0,), 5)
     for ctx in contexts:
-        record_contexts(entry, [{0: ctx}], keys)
+        record_contexts([entry], [{0: ctx}], keys)
     return entry.slots[slot_key(0, 0)]
 
 
@@ -426,7 +427,7 @@ def test_record_contexts_counts_at_condition_positions():
     window.push(Observation(2, {0: 11, 1: 5}))
     window.push(Observation(3, {0: 12}))
     # condition sits one step back: slots keyed 0 and -1 read indices -1, -2
-    record_contexts(entry, window.context_table()[1:], slot_keys((0, 1), 5))
+    record_contexts([entry], window.context_table()[1:], slot_keys((0, 1), 5))
     assert entry.slots[slot_key(0, 0)].per_context == {11: 1}
     assert entry.slots[slot_key(1, 0)].per_context == {5: 1}
     assert entry.slots[slot_key(0, -1)].per_context == {10: 1}
@@ -439,7 +440,7 @@ def test_record_contexts_skips_absent_classifications():
     window = ObservationWindow(5, steps=(1, 2), classifications=(0,))
     window.push(Observation(1))
     window.push(Observation(2))
-    record_contexts(entry, window.context_table()[1:], slot_keys((0,), 5))
+    record_contexts([entry], window.context_table()[1:], slot_keys((0,), 5))
     assert entry.slots == {}
 
 
@@ -450,5 +451,21 @@ def test_record_contexts_rejects_a_condition_longer_than_the_table():
     window.push(Observation(2, {0: 4}))
     window.push(Observation(3, {0: 5}))
     with pytest.raises(WindowRangeError):
-        record_contexts(entry, window.context_table()[1:], slot_keys((0,), 5))
+        record_contexts([entry], window.context_table()[1:], slot_keys((0,), 5))
     assert entry.slots == {}
+
+
+def test_record_contexts_rejects_a_batch_before_counting_any_rule_in_it():
+    db = LookupDB()
+    keys = slot_keys((0, 1), 5)
+    first = db.add((3,), 1, 0.5)
+    too_long = db.add((2, 3), 1, 0.5)
+    last = db.add((3,), 2, 0.5)
+    record_contexts([first, last], [{0: 4, 1: 6}], keys)
+    before = copy.deepcopy([entry.slots for entry in (first, too_long, last)])
+    # One table row: the length-2 rule in the middle of the batch is too
+    # long, and neither the rule counted before it nor the one after moves.
+    with pytest.raises(WindowRangeError):
+        record_contexts([first, too_long, last], [{0: 5, 1: 6}], keys)
+    assert [entry.slots for entry in (first, too_long, last)] == before
+    assert first.slots[slot_key(0, 0)].per_context == {4: 1}

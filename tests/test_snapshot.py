@@ -422,7 +422,7 @@ def test_repeated_slot_lines_get_their_own_counters():
     first, second = (entry.slots[slot_key(0, 0)] for entry in db)
     assert first == second == ContextSlot(2, {5: 1, 6: 1})
     assert first.per_context is not second.per_context
-    record_contexts(list(db)[1], [{0: 6}], slot_keys((0,), 1))
+    record_contexts([list(db)[1]], [{0: 6}], slot_keys((0,), 1))
     assert (first, second) == (ContextSlot(2, {5: 1, 6: 1}), ContextSlot(3, {5: 1, 6: 2}))
 
 
@@ -451,7 +451,7 @@ def test_a_repeated_counter_list_loads_into_its_own_dict():
              list(db)[1].slots[slot_key(1, 0)]]
     assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 3
     assert len({id(slot.per_context) for slot in slots}) == 3
-    record_contexts(list(db)[1], [{1: 6}], slot_keys((1,), 1))
+    record_contexts([list(db)[1]], [{1: 6}], slot_keys((1,), 1))
     assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
 
 
