@@ -48,7 +48,9 @@ class ContextSlot:
     """Occurrence counters for one classification at one condition index.
 
     record_contexts() is the one place the counters grow.  A slot is
-    made with its first count, so ``total`` is always at least 1.
+    made with its first count, so ``total`` is always at least 1.  A
+    slot parse_snapshot() loads may sit under several rules at once;
+    see Entry.shared.
     """
 
     total: int
@@ -61,7 +63,17 @@ class ContextSlot:
 
 @dataclass(slots=True)
 class Entry:
-    """One stored rule: condition run, prediction, probability, counters."""
+    """One stored rule: condition run, prediction, probability, counters.
+
+    ``shared`` marks a rule whose slots may be the very ContextSlot
+    objects of other rules: parse_snapshot() gives every slot line that
+    repeats a counter list the slot read first, and marks every rule it
+    stores.  record_contexts() gives a marked rule its own copies of its
+    slots, and clears the mark, before it counts into them; nothing
+    else in the package writes a slot.  Rules made by the engine or by
+    LookupDB.add are never marked.  The mark takes no part in equality
+    or repr.
+    """
 
     entry_id: int
     condition: tuple[StepId, ...]
@@ -69,6 +81,7 @@ class Entry:
     p: float
     # slot_key(cc, index) -> that classification's counters at that index
     slots: dict[SlotKey, ContextSlot] = field(default_factory=dict)
+    shared: bool = field(default=False, compare=False, repr=False)
 
 
 def condition_matches(entry: Entry, window: ObservationWindow, offset: int = 0) -> bool:
@@ -195,9 +208,12 @@ def record_contexts(
     Every entry must match the table's window at offset 0, as for
     context_fit(); the engine passes all the rules one step counts in
     one call.  Each entry's length is checked against the table before
-    anything is counted, so a rejected batch leaves every slot as it
-    was.  Absent contexts are skipped entirely, so a slot's total only
-    grows when its classification was actually observed there.
+    anything is copied or counted, so a rejected batch leaves every
+    slot and every Entry.shared mark as it was.  An entry marked shared
+    then gets its own copy of each of its slots, and loses the mark,
+    before it counts: a slot a loaded snapshot shares is never written.
+    Absent contexts are skipped entirely, so a slot's total only grows
+    when its classification was actually observed there.
     """
     rows = len(table)
     for entry in entries:
@@ -206,6 +222,10 @@ def record_contexts(
             raise _table_too_short(length, rows)
     for entry in entries:
         slots = entry.slots
+        if entry.shared:
+            for key, slot in slots.items():
+                slots[key] = ContextSlot(slot.total, slot.per_context.copy())
+            entry.shared = False
         for pos in range(len(entry.condition) - 1, -1, -1):
             contexts = table[pos]
             for cc, key in keys[pos]:
@@ -468,8 +488,11 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
       the trie once; a rule over it is stored on the trie path found
       then, after its own prediction, ``p`` and taken-pair checks.
 
-    Each slot gets its own copy of its counters, so no two rules share
-    them.
+    A slot line whose text or counter list was read before gets the
+    very ContextSlot read first, so the database holds one slot per
+    distinct counter list.  Every rule stored here is marked
+    Entry.shared: record_contexts() copies a marked rule's slots before
+    it first counts into them, and a use that only reads copies nothing.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -484,19 +507,20 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     # entry were read; neither is ever undone.  The two tables below
     # likewise hold only text that passed.
     seen: dict[str, _SlotReading] = {}
-    # Counter list text -> the slot first read from it.
+    # Counter list text -> the slot first read from it, which every
+    # slot line with that list shares.
     counters: dict[str, ContextSlot] = {}
     # cond= token -> (its condition, the trie path of that condition).
     conditions: dict[str, tuple[tuple[StepId, ...], list[_Node]]] = {}
     for line_no, raw in enumerate(source, start=1):
         reading = seen.get(raw)
         if reading is not None:
-            cc, index, key, total, per_context = reading
+            cc, index, key, slot = reading
             try:
                 _check_slot_place(current, cc, index, key)
             except ValueError as exc:
                 raise SnapshotFormatError(line_no, str(exc)) from None
-            current.slots[key] = ContextSlot(total, per_context.copy())
+            current.slots[key] = slot
             continue
         # Tag, two head fields and the rest: a slot line's counter list
         # is split into its tokens only when it is new.
@@ -550,12 +574,13 @@ def _parse_entry(
     db: LookupDB,
     conditions: dict[str, tuple[tuple[StepId, ...], list[_Node]]],
 ) -> Entry:
-    """Store an entry line's rule in ``db`` and return it.
+    """Store an entry line's rule in ``db``, marked shared, and return it.
 
     The checks and their order are LookupDB.add's, after the fields are
     parsed.  A ``cond=`` token in ``conditions`` passed them before: it
     is not parsed or checked again, and its rule goes straight to the
-    trie path kept for it.
+    trie path kept for it.  The rule is marked Entry.shared, as the
+    slot lines under it may be given slots other rules hold.
     """
     if len(tokens) != 5:
         raise ValueError("entry line needs: E <id> cond=... pred=... p=...")
@@ -582,12 +607,14 @@ def _parse_entry(
         conditions[tokens[2]] = condition, path
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    return db.add_on_path(path, condition, prediction, p)
+    entry = db.add_on_path(path, condition, prediction, p)
+    entry.shared = True
+    return entry
 
 
 # What a slot line says, whatever entry it sits under:
-# (cc, index, slot_key(cc, index), total, per-context counts).
-_SlotReading = tuple[ClassificationId, int, SlotKey, int, dict[ContextId, int]]
+# (cc, index, slot_key(cc, index), the slot read from it).
+_SlotReading = tuple[ClassificationId, int, SlotKey, ContextSlot]
 
 
 def _check_slot_place(entry: Entry, cc: ClassificationId, index: int, key: SlotKey) -> None:
@@ -604,14 +631,15 @@ def _parse_slot(
     keys: dict[tuple[ClassificationId, int], SlotKey],
     counters: dict[str, ContextSlot],
 ) -> _SlotReading:
-    """Store a slot line's counters in ``entry`` and return its reading.
+    """Store a slot line's slot in ``entry`` and return its reading.
 
     ``fields`` is the line split at its first three runs of whitespace,
     so ``fields[3]`` is its counter list.  A counter list in
     ``counters`` passed every check before and is not read again; the
-    entry gets its own copy of its counts.  A new one that passes is
-    added there with the slot read from it, which the entry keeps.  The
-    reading holds the dict the counters were stored in.
+    entry gets the slot first read from it, shared with every other
+    slot line that repeats the list.  A new one that passes is added
+    there with the slot read from it.  The reading holds the slot the
+    entry got.
     """
     if entry is None:
         raise ValueError("slot line before any entry line")
@@ -624,13 +652,11 @@ def _parse_slot(
     if key is None:
         key = keys[pair] = slot_key(cc, index)
     _check_slot_place(entry, cc, index, key)
-    known = counters.get(fields[3])
-    if known is None:
+    slot = counters.get(fields[3])
+    if slot is None:
         slot = counters[fields[3]] = _parse_counters(fields[3].split())
-    else:
-        slot = ContextSlot(known.total, known.per_context.copy())
     entry.slots[key] = slot
-    return cc, index, key, slot.total, slot.per_context
+    return cc, index, key, slot
 
 
 def _parse_counters(tokens: list[str]) -> ContextSlot:

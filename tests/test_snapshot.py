@@ -19,7 +19,7 @@ from nextstep import (
     run_trace,
     write_snapshot,
 )
-from nextstep.errors import SnapshotFormatError, UnknownIdError
+from nextstep.errors import SnapshotFormatError, UnknownIdError, WindowRangeError
 from nextstep.lookupdb import (
     ContextSlot,
     LookupDB,
@@ -28,6 +28,7 @@ from nextstep.lookupdb import (
     record_contexts,
     slot_key,
     slot_keys,
+    split_slot_key,
 )
 from nextstep.scenarios import generate_trace
 from nextstep.window import ObservationWindow
@@ -371,7 +372,7 @@ def churn_trace(events, seed):
     ]
 
 
-@pytest.mark.parametrize(
+AT_SCALE = pytest.mark.parametrize(
     "observations,mode",
     [
         (churn_trace(2_000, 4242), "baseline"),
@@ -379,6 +380,9 @@ def churn_trace(events, seed):
     ],
     ids=["churn-baseline", "mix-context"],
 )
+
+
+@AT_SCALE
 def test_engine_snapshots_round_trip_at_scale(observations, mode):
     engine, _ = run_trace(observations, PredictorConfig(engine_mode=mode))
     text = dump_snapshot(engine.db, 0.8, 0.5)
@@ -407,7 +411,44 @@ def test_an_undecodable_byte_names_its_line(tmp_path):
     )
 
 
+@AT_SCALE
+def test_a_loaded_db_holds_one_slot_per_distinct_counter_list(observations, mode):
+    # One slot object per distinct counter list, not one per slot line.
+    engine, _ = run_trace(observations, PredictorConfig(engine_mode=mode))
+    text = dump_snapshot(engine.db, 0.8, 0.5)
+    lists = [line.partition(" total=")[2] for line in text.splitlines() if line[0] == "S"]
+    assert len(lists) > 3 * len(set(lists))
+    loaded, _, _ = parse_snapshot(text)
+    slots = [slot for entry in loaded for slot in entry.slots.values()]
+    assert len(slots) == len(lists)
+    assert len({id(slot) for slot in slots}) == len(set(lists))
+    assert all(entry.shared for entry in loaded)
+    assert not any(entry.shared for entry in engine.db)
+
+
 # -- repeated slot lines ----------------------------------------------------
+
+
+def assert_counting_one_rule_leaves_the_others(text):
+    """Count into each rule of a fresh load of ``text`` alone.
+
+    Every other rule must still read as the uncached reader loads it.
+    The table holds a context for each classification in the text at
+    every condition index, so the counted rule grows each of its slots.
+    """
+    expected = db_state(reference.parse_snapshot(text)[0])
+    classifications = sorted({split_slot_key(key)[0] for *_, slots in expected
+                              for key, _ in slots}) or [0]
+    rows = max((len(condition) for _, condition, *_ in expected), default=1)
+    table = [dict.fromkeys(classifications, 9)] * rows
+    keys = slot_keys(classifications, rows)
+    for at in range(len(expected)):
+        db, _, _ = parse_snapshot(text)
+        record_contexts([list(db)[at]], table, keys)
+        state = db_state(db)
+        del state[at]
+        assert state == expected[:at] + expected[at + 1:]
+
 
 # Entries 0 and 1 are read from the same slot line.
 TWINS = (
@@ -421,8 +462,10 @@ def test_repeated_slot_lines_get_their_own_counters():
     db, _, _ = parse_snapshot(TWINS)
     first, second = (entry.slots[slot_key(0, 0)] for entry in db)
     assert first == second == ContextSlot(2, {5: 1, 6: 1})
-    assert first.per_context is not second.per_context
+    assert_counting_one_rule_leaves_the_others(TWINS)
     record_contexts([list(db)[1]], [{0: 6}], slot_keys((0,), 1))
+    # Counting gave entry 1 a slot of its own: read the slots again.
+    first, second = (entry.slots[slot_key(0, 0)] for entry in db)
     assert (first, second) == (ContextSlot(2, {5: 1, 6: 1}), ContextSlot(3, {5: 1, 6: 2}))
 
 
@@ -447,12 +490,15 @@ SHARED_COUNTERS = (
 
 def test_a_repeated_counter_list_loads_into_its_own_dict():
     db, _, _ = parse_snapshot(SHARED_COUNTERS)
-    slots = [list(db)[0].slots[slot_key(0, 0)], list(db)[0].slots[slot_key(1, -1)],
-             list(db)[1].slots[slot_key(1, 0)]]
-    assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 3
-    assert len({id(slot.per_context) for slot in slots}) == 3
+
+    def slots():
+        return [list(db)[0].slots[slot_key(0, 0)], list(db)[0].slots[slot_key(1, -1)],
+                list(db)[1].slots[slot_key(1, 0)]]
+
+    assert slots() == [ContextSlot(2, {5: 1, 6: 1})] * 3
+    assert_counting_one_rule_leaves_the_others(SHARED_COUNTERS)
     record_contexts([list(db)[1]], [{1: 6}], slot_keys((1,), 1))
-    assert slots == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
+    assert slots() == [ContextSlot(2, {5: 1, 6: 1})] * 2 + [ContextSlot(3, {5: 1, 6: 2})]
 
 
 def test_each_counter_list_dumps_with_its_own_total_and_counts():
@@ -621,8 +667,54 @@ def test_dump_and_read_agree_with_the_uncached_ones(db, end):
     loaded, alpha, theta = parse_snapshot(text)
     assert read_outcome(parse_snapshot, text) == read_outcome(reference.parse_snapshot, text)
     assert [entry.slots for entry in loaded] == [entry.slots for entry in db]
-    counters = [slot.per_context for entry in loaded for slot in entry.slots.values()]
-    assert len({id(counts) for counts in counters}) == len(counters)
+    assert_counting_one_rule_leaves_the_others(text)
+
+
+def test_a_rejected_batch_leaves_every_mark_and_slot_as_it_was():
+    db, _, _ = parse_snapshot(SHARED_COUNTERS)
+
+    def state():
+        return [(entry.shared, [(key, id(slot), slot.total, dict(slot.per_context))
+                                for key, slot in entry.slots.items()])
+                for entry in db]
+
+    before = state()
+    assert all(shared for shared, _ in before)
+    # Entry 1 (length 1) fits the one-row table and comes first; entry 0
+    # (length 2) does not, so the batch is rejected before anything moves.
+    with pytest.raises(WindowRangeError, match="condition of length 2 is longer than the 1"):
+        record_contexts([list(db)[1], list(db)[0]], [{0: 6, 1: 6}], slot_keys((0, 1), 1))
+    assert state() == before
+
+
+# A row of a context table: each classification's context, when known.
+_TABLE_ROW = st.dictionaries(st.integers(0, 1), st.integers(0, 6), max_size=2)
+
+
+@given(repeating_dbs(), st.data())
+def test_counting_into_a_load_dumps_as_counting_into_the_uncached_load(db, data):
+    text = dump_snapshot(db, 0.8, 0.25)
+    loaded = parse_snapshot(text)[0]
+    uncached = reference.parse_snapshot(text)[0]
+    rules = len(loaded)
+    for _ in range(data.draw(st.integers(1, 4))):
+        last = max(rules - 1, 0)
+        picked = data.draw(st.lists(st.integers(0, last), unique=True, max_size=rules))
+        # Up to three rows: a batch with a rule longer than the table is
+        # rejected by both.
+        table = data.draw(st.lists(_TABLE_ROW, max_size=3))
+        keys = slot_keys((0, 1), len(table))
+        outcomes = []
+        for each in (loaded, uncached):
+            entries = list(each)
+            try:
+                record_contexts([entries[at] for at in picked], table, keys)
+                outcomes.append(None)
+            except WindowRangeError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert db_state(loaded) == db_state(uncached)
+        assert dump_snapshot(loaded, 0.8, 0.25) == reference.dump_snapshot(uncached, 0.8, 0.25)
 
 
 @given(repeating_dbs(), st.data())
