@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .atomicwrite import write_text_atomically
 from .engine import (
@@ -168,16 +168,23 @@ def _cmd_db_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _loaded_engine(
+    path: str, config: PredictorConfig, steps: Iterable[int], classifications: Iterable[int]
+) -> Engine:
+    """An engine over the snapshot at ``path``, with its alpha and theta."""
+    db, alpha, theta = read_snapshot(path)
+    return Engine(replace(config, alpha=alpha, theta=theta), steps, classifications, db)
+
+
 def _cmd_repl(args: argparse.Namespace) -> int:
     steps = _parse_id_list(args.steps, "step")
     classifications = _parse_id_list(args.classifications, "classification")
     config = _config_from_args(args)
-    db = LookupDB()
     if args.load:
-        db, alpha, theta = read_snapshot(args.load)
-        config = replace(config, alpha=alpha, theta=theta)
-    engine = Engine(config, steps, classifications, db)
-    _echo_config(config)
+        engine = _loaded_engine(args.load, config, steps, classifications)
+    else:
+        engine = Engine(config, steps, classifications)
+    _echo_config(engine.config)
     while True:
         result = engine.predict()
         if result is None:
@@ -231,10 +238,8 @@ def _repl_command(engine: Engine, line: str) -> Engine | None:
         elif command == ":load":
             if not argument:
                 raise ValueError(":load needs a path")
-            db, alpha, theta = read_snapshot(argument)
-            config = replace(engine.config, alpha=alpha, theta=theta)
-            engine = Engine(config, engine.steps, engine.classifications, db)
-            print(f"loaded {argument} ({len(db)} entries)")
+            engine = _loaded_engine(argument, engine.config, engine.steps, engine.classifications)
+            print(f"loaded {argument} ({len(engine.db)} entries)")
         else:
             raise ValueError(f"unknown command {command!r}")
     except (NextStepError, OSError, ValueError) as exc:

@@ -41,9 +41,7 @@ def parse_record(text: str) -> Observation:
     the snapshot reader rejects it.  The contexts dict is built here,
     once, and handed to the observation, which owns it from then on.
     """
-    # reject_loose_numbers' test, inline, as in lookupdb.parse_snapshot.
-    if not text.isascii() or "_" in text or "+" in text:
-        reject_loose_numbers(text)
+    reject_loose_numbers(text)
     step_text, _, rest = text.strip().partition(" ")
     step = parse_id(step_text, "step")
     contexts: dict[int, int] = {}
@@ -91,15 +89,9 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
         if first is not None:
             observations.append(_owning_observation(first.step, first.contexts.copy()))
             continue
-        # Skip blank and comment lines.  A data line starts with its step
-        # id, so only a line that starts with whitespace is stripped here.
-        head = raw[:1]
-        if head == "#":
+        line = raw.lstrip()
+        if not line or line[0] == "#":
             continue
-        if not head or head.isspace():
-            line = raw.lstrip()
-            if not line or line[0] == "#":
-                continue
         try:
             observation = parse_record(raw)
         except ValueError as exc:

@@ -529,10 +529,7 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
             continue
         tag = fields[0]
         try:
-            # reject_loose_numbers' test, inline: a call per line would
-            # cost more than the test.
-            if not raw.isascii() or "_" in raw or "+" in raw:
-                reject_loose_numbers(raw)
+            reject_loose_numbers(raw)
             # Slot lines are most of a snapshot: test their tag first.
             if tag == "S" and alpha is not None:
                 seen[raw] = _parse_slot(fields, current, keys, counters)

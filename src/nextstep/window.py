@@ -33,7 +33,7 @@ class Observation:
     contexts: Mapping[ClassificationId, ContextId] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Freeze the mapping so shared observations cannot drift.
+        # Copy the mapping so that edits to the caller's dict do not leak in.
         object.__setattr__(self, "contexts", dict(self.contexts))
 
 

@@ -429,6 +429,11 @@ def test_repl_rejects_a_line_the_trace_reader_rejects(capsys, monkeypatch):
     assert code == 0
     assert ("error: character '\\u3000' is not allowed: "
             "fields are separated by ASCII whitespace") in out.splitlines()
+    # A record that names a classification twice; the repl keeps going.
+    code, out, _ = repl(capsys, monkeypatch, "2\n3\n2 0=2,0=3\n2\n:quit\n")
+    assert (code, out.splitlines()) == (0, ["no suggestion"] * 3 + [
+        "error: classification 0 given twice",
+        "no suggestion", "suggestion: step=3 actual_p=0.200000 cond=2"])
 
 
 def test_repl_learns_contexts(capsys, monkeypatch):

@@ -78,6 +78,7 @@ def test_bad_records_are_rejected(bad):
     ("1 0_0=1", loose("_")),
     ("1 0=+1", loose("+")),
     ("1 0=1,1=\u0663", loose("\u0663")),
+    ("2 0=2,0=3", "classification 0 given twice"),
 ])
 def test_bad_step_messages(text, message):
     with pytest.raises(ValueError) as excinfo:
@@ -86,8 +87,11 @@ def test_bad_step_messages(text, message):
 
 
 def test_parse_trace_skips_blanks_and_comments():
-    trace = parse_trace(["# header", "", "1 0=2", "  ", "2"])
-    assert [(o.step, dict(o.contexts)) for o in trace] == [(1, {0: 2}), (2, {})]
+    trace = parse_trace([
+        "# header", "", "1 0=2", "  ", "2",
+        "\t# c\n", " \n", "\r\n", "  # x\n", "# twice\n", "# twice\n", "1 0=2",
+    ])
+    assert [(o.step, dict(o.contexts)) for o in trace] == [(1, {0: 2}), (2, {}), (1, {0: 2})]
 
 
 def test_parse_trace_rejects_non_ascii_whitespace_on_a_data_line():
@@ -108,6 +112,9 @@ def test_parse_trace_reports_the_offending_line():
     with pytest.raises(TraceFormatError) as excinfo:
         parse_trace(["# +1_0 \u0663", "1", "1_0 0=+1,1=\u0663"])
     assert str(excinfo.value) == "line 3: " + loose("_")
+    with pytest.raises(TraceFormatError) as excinfo:
+        parse_trace(["1", "2 0=2,0=3"])
+    assert str(excinfo.value) == "line 2: classification 0 given twice"
 
 
 def test_read_records_own_their_contexts():

@@ -20,6 +20,7 @@ from nextstep import (
     write_snapshot,
 )
 from nextstep.errors import SnapshotFormatError, UnknownIdError, WindowRangeError
+from nextstep.evaluation import derive_universes
 from nextstep.lookupdb import (
     ContextSlot,
     LookupDB,
@@ -424,6 +425,27 @@ def test_a_loaded_db_holds_one_slot_per_distinct_counter_list(observations, mode
     assert len({id(slot) for slot in slots}) == len(set(lists))
     assert all(entry.shared for entry in loaded)
     assert not any(entry.shared for entry in engine.db)
+
+
+@AT_SCALE
+def test_an_engine_resumed_from_a_load_steps_as_over_the_uncached_load(observations, mode):
+    # Replay half the trace, then finish it on an engine over each load.
+    config = PredictorConfig(engine_mode=mode)
+    half = len(observations) // 2
+    engine, _ = run_trace(observations[:half], config)
+    text = dump_snapshot(engine.db, config.alpha, config.theta)
+    steps, classifications = derive_universes(observations)
+    runs = []
+    for parse in (parse_snapshot, reference.parse_snapshot):
+        resumed = Engine(config, steps, classifications, parse(text)[0])
+        predictions = []
+        for observation in observations[half:]:
+            predictions.append(resumed.predict())
+            resumed.learn(observation)
+        runs.append((predictions, dump_snapshot(resumed.db, config.alpha, config.theta)))
+    predictions, _ = runs[0]
+    assert runs[1] == runs[0]
+    assert sum(prediction is not None for prediction in predictions) > len(predictions) // 2
 
 
 # -- repeated slot lines ----------------------------------------------------
