@@ -78,8 +78,8 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
 
     Recorded traces repeat a few distinct lines many times, so each
     accepted line's raw text, line end included, maps to the first
-    observation read from it.  A repeat copies that observation's
-    contexts instead of checking and splitting the text again.  Only
+    observation read from it, and a repeat appends that same read-only
+    observation instead of checking and splitting the text again.  Only
     accepted lines are kept: a bad line is read, and rejected, anew.
     """
     observations = []
@@ -87,7 +87,7 @@ def parse_trace(lines: Iterable[str]) -> list[Observation]:
     for line_no, raw in enumerate(lines, start=1):
         first = seen.get(raw)
         if first is not None:
-            observations.append(_owning_observation(first.step, first.contexts.copy()))
+            observations.append(first)
             continue
         line = raw.lstrip()
         if not line or line[0] == "#":
@@ -121,7 +121,8 @@ def derive_universes(
     if not observations:
         raise ValueError("trace is empty")
     steps = frozenset(map(attrgetter("step"), observations))
-    classifications = frozenset().union(*map(attrgetter("contexts"), observations))
+    # The dicts behind the views, which a union reads faster.
+    classifications = frozenset().union(*map(attrgetter("_contexts"), observations))
     return steps, classifications
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownIdError, WindowRangeError
@@ -21,20 +22,39 @@ ClassificationId = int
 ContextId = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One enacted step and the context ids known for it.
 
     ``contexts`` maps classification id to context id and may cover any
-    subset of the declared classifications, including none.
+    subset of the declared classifications, including none.  It is a
+    read-only view of a dict the observation owns, so an observation is
+    a value: one can stand for every repeat of a trace line.
     """
 
     step: StepId
     contexts: Mapping[ClassificationId, ContextId] = field(default_factory=dict)
+    # The dict behind the view.  The window and the trace reader read
+    # it directly, as the scoring loops' .get is faster on a dict.
+    _contexts: dict[ClassificationId, ContextId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Copy the mapping so that edits to the caller's dict do not leak in.
-        object.__setattr__(self, "contexts", dict(self.contexts))
+        contexts = dict(self.contexts)
+        _set_dict(self, contexts)
+        _set_view(self, MappingProxyType(contexts))
+
+    def __reduce__(self) -> tuple:
+        # The view neither pickles nor deep-copies; the dict does.
+        return Observation, (self.step, self._contexts)
+
+
+# The slots' own setters: the frozen __setattr__ refuses them, and
+# object.__setattr__ looks each one up by name, which made a parse of
+# 20,000 distinct trace lines about a tenth slower.
+_set_step = Observation.step.__set__
+_set_dict = Observation._contexts.__set__
+_set_view = Observation.contexts.__set__
 
 
 def _owning_observation(
@@ -45,12 +65,13 @@ def _owning_observation(
     The caller vouches that ``contexts`` is a dict it built itself,
     shared with nothing, and that it will not touch it again: from here
     on the observation owns it.  The trace reader builds one fresh dict
-    per record and hands it over this way; every other caller goes
-    through ``Observation(...)``, which copies its mapping.
+    per distinct record and hands it over this way; every other caller
+    goes through ``Observation(...)``, which copies its mapping.
     """
     observation = object.__new__(Observation)
-    object.__setattr__(observation, "step", step)
-    object.__setattr__(observation, "contexts", contexts)
+    _set_step(observation, step)
+    _set_dict(observation, contexts)
+    _set_view(observation, MappingProxyType(contexts))
     return observation
 
 
@@ -93,7 +114,7 @@ class ObservationWindow:
         step = observation.step
         if not isinstance(step, int) or isinstance(step, bool) or step not in self.steps:
             raise UnknownIdError(f"step {step!r} is not declared")
-        for cc, ctx in observation.contexts.items():
+        for cc, ctx in observation._contexts.items():
             if not isinstance(cc, int) or isinstance(cc, bool) or cc not in self.classifications:
                 raise UnknownIdError(f"classification {cc!r} is not declared")
             if not isinstance(ctx, int) or isinstance(ctx, bool) or ctx < 0:
@@ -126,13 +147,14 @@ class ObservationWindow:
             return iter(self._entries)
         return islice(self._entries, offset, None)
 
-    def context_table(self) -> list[Mapping[ClassificationId, ContextId]]:
-        """Context mappings of every populated position, newest first.
+    def context_table(self) -> list[dict[ClassificationId, ContextId]]:
+        """Context dicts of every populated position, newest first.
 
-        ``table[-index]`` is the mapping at window index ``index``.  The
-        mappings are the observations' own and must not be modified.
+        ``table[-index]`` is the dict at window index ``index``.  The
+        dicts are the ones behind the observations' views, for a fast
+        .get, and must not be modified.
         """
-        return [observation.contexts for observation in self._entries]
+        return [observation._contexts for observation in self._entries]
 
 
 def _require_id(kind: str, value: int) -> None:

@@ -117,27 +117,28 @@ def test_parse_trace_reports_the_offending_line():
     assert str(excinfo.value) == "line 2: classification 0 given twice"
 
 
-def test_read_records_own_their_contexts():
-    # A repeated line is read once; each repeat still owns its contexts.
+def test_repeated_lines_read_as_one_shared_observation():
+    # A repeated line is read once and every repeat is that observation;
+    # its contexts are read-only, so no repeat can change another.
     trace = parse_trace(["1 0=2\n", "1 0=2\n", "1 0=2\n", "3\n", "3"])
     repeats, (bare, last) = trace[:3], trace[3:]
-    assert all(o == Observation(1, {0: 2}) for o in repeats)
-    for changed in repeats:
-        changed.contexts[1] = 7
-        assert [o.contexts for o in repeats if o is not changed] == [{0: 2}, {0: 2}]
-        del changed.contexts[1]
-    assert bare.contexts == {} and last.contexts == {}
-    assert bare.contexts is not last.contexts
+    assert all(o is repeats[0] for o in repeats)
+    assert repeats[0] == Observation(1, {0: 2})
+    # Lines that differ in their raw text are read apart.
+    assert bare == last == Observation(3) and bare is not last
     for observation in trace + [parse_record("4 1=0")]:
         built = Observation(observation.step, observation.contexts)
         assert observation == built
         assert repr(observation) == repr(built)
+        with pytest.raises(TypeError):
+            observation.contexts[1] = 7
         with pytest.raises(dataclasses.FrozenInstanceError):
             observation.step = 9
         with pytest.raises(dataclasses.FrozenInstanceError):
             observation.contexts = {}
         with pytest.raises(TypeError):
             hash(observation)
+    assert [dict(o.contexts) for o in trace] == [{0: 2}] * 3 + [{}, {}]
 
 
 # Pieces of trace lines, valid and not: the reader must accept and reject
@@ -203,7 +204,13 @@ def _agrees_with_the_reference_reader(lines):
         return
     assert observations == expected
     assert [type(o) for o in observations] == [Observation] * len(expected)
-    assert len({id(o.contexts) for o in observations}) == len(observations)
+    # Each data line gave one observation, and the same object for the
+    # same raw text, line end and surrounding whitespace included.
+    data_lines = [raw for raw in lines if raw.lstrip()[:1] not in ("", "#")]
+    first: dict[str, Observation] = {}
+    for raw, observation in zip(data_lines, observations, strict=True):
+        assert first.setdefault(raw, observation) is observation
+    assert len({id(o) for o in observations}) == len(first)
     if expected:
         assert derive_universes(observations) == reference.derive_universes(expected)
     else:
@@ -243,8 +250,9 @@ _POOL_TRACE = (
 
 
 @given(_POOL_TRACE)
-# A repeat must own its dict, a skipped line must not stand for a record,
-# and a line with non-ASCII whitespace around an accepted record is bad.
+# A repeat must be its first line's observation, a skipped line must not
+# stand for a record, and a line with non-ASCII whitespace around an
+# accepted record is bad.
 @example(["3", "3"])
 @example(["1\n", "# x\n", "# x\n"])
 @example(["1 0=2\n", "1 0=2\u3000"])

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from nextstep import Observation
 from nextstep.errors import UnknownIdError, WindowRangeError
+from nextstep.evaluation import parse_record
 from nextstep.window import ObservationWindow
 
 
@@ -133,11 +138,63 @@ def test_context_lookup():
     assert table[1] == {0: 5}
 
 
+def test_context_table_rows_are_plain_dicts():
+    # The counting and scoring loops call .get on every row; a dict's is
+    # faster than a read-only view's.
+    window = make_window()
+    window.push(Observation(1, {0: 5}))
+    window.push(parse_record("2 1=1"))
+    window.push(Observation(3))
+    assert [type(row) for row in window.context_table()] == [dict] * 3
+
+
 def test_observation_contexts_are_copied_on_construction():
     source = {0: 5}
     observation = Observation(1, source)
     source[0] = 99
-    assert observation.contexts[0] == 5
+    source[1] = 2
+    assert observation.contexts == {0: 5}
+
+
+def test_observation_is_a_read_only_value():
+    observation = Observation(1, {0: 5})
+    with pytest.raises(TypeError):
+        observation.contexts[0] = 6
+    with pytest.raises(TypeError):
+        del observation.contexts[0]
+    for name, value in (("step", 2), ("contexts", {0: 6})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(observation, name, value)
+    with pytest.raises(TypeError):
+        hash(observation)
+    assert observation == Observation(1, {0: 5})
+    assert observation != Observation(1, {0: 6})
+
+
+@pytest.mark.parametrize("remake", [
+    *(
+        lambda o, protocol=protocol: pickle.loads(pickle.dumps(o, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ),
+    copy.copy,
+    copy.deepcopy,
+    dataclasses.replace,
+], ids=[
+    *(f"pickle{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    "copy", "deepcopy", "replace",
+])
+def test_observation_survives_pickle_copy_and_replace(remake):
+    for observation in (Observation(1, {0: 5, 1: 2}), Observation(3), parse_record("2 1=1")):
+        again = remake(observation)
+        assert type(again) is Observation
+        assert again == observation
+        assert repr(again) == repr(observation)
+        with pytest.raises(TypeError):
+            again.contexts[0] = 6
+        window = make_window()
+        window.push(again)
+        assert window.context_table() == [observation.contexts]
+    assert dataclasses.replace(Observation(1, {0: 5}), contexts={1: 2}) == Observation(1, {1: 2})
 
 
 @given(st.lists(st.integers(min_value=1, max_value=3), max_size=30),
