@@ -17,9 +17,7 @@ from .lookupdb import (
     ContextTable,
     Entry,
     LookupDB,
-    Matches,
     SlotKey,
-    SlotKeys,
     context_fit,
     record_contexts,
     slot_keys,
@@ -135,7 +133,7 @@ class Engine:
                     )
         # Grown by _state() as the window fills: every rule's counters
         # reuse these keys, and their sorted order keeps evidence order
-        # stable.
+        # stable.  predict() and learn() read them after _state().
         self._slot_keys: list[tuple[tuple[ClassificationId, SlotKey], ...]] = []
         self._last_prediction: StepId | None = None
         # The last state read and the state it belongs to: the db, its
@@ -143,20 +141,22 @@ class Engine:
         # ObservationWindow define no __eq__, so stamps compare them by
         # identity.
         self._stamp: tuple[LookupDB, int, ObservationWindow, int] | None = None
-        self._memo: tuple[Matches, ContextTable, SlotKeys] = (Matches(), [], [])
+        self._memo: tuple[list[Entry], list, ContextTable] = ([], [], [])
 
-    def _state(self) -> tuple[Matches, ContextTable, SlotKeys]:
-        """The window's matches, context table and slot keys.
+    def _state(self) -> tuple[list[Entry], list, ContextTable]:
+        """The window's matches, their trie path and its context table.
 
-        The matches are LookupDB.walk's, in trie order: shortest
-        condition first, each condition's rules in id order.  Only the
-        growth step needs id order, and it sorts the few parents learn()
-        picks.  None of them may be modified.  Rules are only ever
-        added, so the state is read again only when the db, its size,
-        the window or its push count changed: predict() and learn()
-        share one read per state.  A correct learn() reads the window
-        after its push before it stores any rule, and the next
-        predict() reuses that read when no rule was added.
+        The matches and path are LookupDB.walk's, the matches in trie
+        order: shortest condition first, each condition's rules in id
+        order.  Only the growth step needs id order, and it sorts the
+        few parents learn() picks.  Nothing modifies the matches or the
+        table; the path grows only as learn() stores rules on it.  Rules
+        are only ever added, so the state is read again only when the
+        db, its size, the window or its push count changed: a grown path
+        is never read again.  predict() and learn() share one read per
+        state.  A correct learn() reads the window after its push before
+        it stores any rule, and the next predict() reuses that read when
+        no rule was added.
         """
         window = self.window
         stamp = (self.db, len(self.db), window, window.pushes)
@@ -165,7 +165,7 @@ class Engine:
             if len(keys) < len(window):
                 keys.extend(slot_keys(self.classifications, len(window), len(keys)))
             self._stamp = stamp
-            self._memo = (self.db.walk(window), window.context_table(), keys)
+            self._memo = (*self.db.walk(window), window.context_table())
         return self._memo
 
     def predict(self) -> PredictionResult | None:
@@ -182,7 +182,8 @@ class Engine:
         winner.  The suggestion is remembered and scored by the next
         learn().
         """
-        matches, table, keys = self._state()
+        matches, _, table = self._state()
+        keys = self._slot_keys
         scoring = self.config.engine_mode == "context"
         best: Entry | None = None
         best_key: tuple[float, int, float, int] | None = None
@@ -237,7 +238,8 @@ class Engine:
         depend on the order the rules come in.
         """
         window = self.window
-        matches, table, keys = self._state()
+        matches, walked, table = self._state()
+        keys = self._slot_keys
         previous = window.step_at(0) if table else None
         window.push(observation)
         step = observation.step
@@ -247,9 +249,9 @@ class Engine:
         if correct:
             # The walk reads no p, so the post-push read may come before
             # the updates; it must come before any rule is stored.
-            pushed = self._state()[0]
+            pushed = self._state()[1]
             append = self.config.extension_direction == "append-observation"
-            path = pushed.path if append else matches.path
+            path = pushed if append else walked
             depth = len(path)
             # A rule of this length or longer has a child as long as the
             # window after the push, or longer.
@@ -279,12 +281,11 @@ class Engine:
             # previous == step.
             inherit_p = self._inherited_p(pushed)
         # The pair rule (previous,)->step sits at the pre-push walk's
-        # first node, if the walk got that far.  A copy of that one-node
-        # path is grown, so the walk's own path stays as walked.
+        # first node, if the walk got that far.  An empty walk gains that
+        # node; it matched nothing, so no child is stored on it.
         if previous is not None:
-            walked = matches.path
             if not walked or step not in walked[0].rules:
-                pair = self.db.add_on_path(walked[:1], (previous,), step, gain)
+                pair = self.db.add_on_path(walked, (previous,), step, gain)
                 counted.append(pair)
         if counted:
             record_contexts(counted, table, keys)
@@ -293,15 +294,15 @@ class Engine:
         self._last_prediction = None
         return correct
 
-    def _inherited_p(self, pushed: Matches) -> float:
+    def _inherited_p(self, pushed: list) -> float:
         """The p new children start with.
 
-        It is the highest p among the longest rules matching the window
-        after the push with p > 0, the ones prediction would lean on
-        now.  With no such rule it is 1 - alpha, the p of a fresh pair
-        rule.
+        It is the highest p among the longest rules with p > 0 on
+        ``pushed``, the walk path of the window after the push: the ones
+        prediction would lean on now.  With no such rule it is 1 - alpha,
+        the p of a fresh pair rule.
         """
-        for node in reversed(pushed.path):
+        for node in reversed(pushed):
             best = 0.0
             for entry in node.rules.values():
                 p = entry.p
@@ -327,16 +328,14 @@ class Engine:
         Children are stored straight on that path by add_on_path, from
         the node of their length, or from the path's end where the walk
         stopped short.  Their steps come from the parent and the window,
-        which checked them, so no id is checked again.  The path is
-        copied once, and the copy grows with the nodes made for it, so a
-        later child reuses them.
+        which checked them, so no id is checked again.  The path grows
+        with the nodes made for it, so a later child reuses them.
         """
         append = self.config.extension_direction == "append-observation"
         if len(growing) > 1:
             growing.sort(key=_BY_ID)
         step_at = self.window.step_at
         add_on_path = self.db.add_on_path
-        grown = path.copy()
         for parent in growing:
             condition = parent.condition
             if append:
@@ -351,4 +350,4 @@ class Engine:
             # because old counts never decay.  An empty slot set scores
             # as "nothing speaks against it" until the child earns its
             # own evidence.
-            add_on_path(grown, condition, parent.prediction, inherit_p)
+            add_on_path(path, condition, parent.prediction, inherit_p)

@@ -244,27 +244,6 @@ def record_contexts(
 _BY_ID = attrgetter("entry_id")
 
 
-class Matches(list):
-    """The entries matching a window, and the trie path that found them.
-
-    LookupDB.walk returns them in trie order: shortest condition first,
-    and the rules of one condition in id order.  LookupDB.matching_entries
-    returns them id ascending.
-
-    ``path[k]`` is the trie node the walk reached after ``k + 1`` steps:
-    its ``rules`` map prediction to entry for the rules whose
-    condition is the ``k + 1`` newest steps of the matched run.  A
-    length past the end of the path has no rule.  The nodes are the
-    trie's own and stay live: a rule added later on the same path shows
-    up in their ``rules`` but not in the list.  LookupDB.add_on_path
-    grows a rule that is a suffix of the run straight into these nodes.
-    """
-
-    __slots__ = ("path",)
-
-    path: list[_Node]
-
-
 class _Node:
     """One trie node: the condition spelled by the path, newest step first."""
 
@@ -322,7 +301,7 @@ class LookupDB:
         """Store a rule at the end of a known trie path; ids are not checked.
 
         ``path[k]`` must be the node of the condition's ``k + 1`` newest
-        steps, as Matches.path is for a rule that is a suffix of the
+        steps, as walk()'s path is for a rule that is a suffix of the
         walked run; it may stop short of the condition or run past it.
         Where it stops short, the missing nodes are found or made from
         the condition's own steps and appended to ``path``.  The caller
@@ -354,20 +333,28 @@ class LookupDB:
         node.rules[prediction] = entry
         return entry
 
-    def walk(self, window: ObservationWindow, offset: int = 0) -> Matches:
-        """All entries matching the window at ``offset``, in trie order.
+    def walk(
+        self, window: ObservationWindow, offset: int = 0
+    ) -> tuple[list[Entry], list[_Node]]:
+        """The entries matching the window at ``offset``, and the trie path.
 
         One walk down the trie reads the window's steps from index
-        ``-offset`` back and stops at the first step with no child; the
-        nodes it passed through come back as the result's ``path``.  The
+        ``-offset`` back and stops at the first step with no child.
+        ``path[k]`` is the node it reached after ``k + 1`` steps: its
+        ``rules`` map prediction to entry for the rules whose condition
+        is the ``k + 1`` newest steps of the run, and a length past the
+        path's end has no rule.  The nodes are the trie's own and stay
+        live: a rule stored later on the path shows up in their
+        ``rules`` but not in the entries, and add_on_path grows a rule
+        that is a suffix of the run straight into the path.  The
         entries come node by node, so the shortest condition comes
         first, and each node's rules in id order, the order they were
         stored in.  A longer rule can have the lower id, so the list as
         a whole is not id ascending.
         """
         node = self._root
-        matches = Matches()
-        path = matches.path = []
+        entries: list[Entry] = []
+        path: list[_Node] = []
         for observation in window.newest_first(offset):
             node = node.children.get(observation.step)
             if node is None:
@@ -375,18 +362,18 @@ class LookupDB:
             path.append(node)
             rules = node.rules
             if rules:
-                matches.extend(rules.values())
-        return matches
+                entries.extend(rules.values())
+        return entries, path
 
-    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> Matches:
+    def matching_entries(self, window: ObservationWindow, offset: int = 0) -> list[Entry]:
         """All entries matching the window at ``offset``, id ascending.
 
-        Equivalent to filtering with condition_matches: walk()'s entries,
-        sorted by id, with the same ``path``.
+        Equivalent to filtering with condition_matches: walk()'s
+        entries, sorted by id.
         """
-        matches = self.walk(window, offset)
-        matches.sort(key=_BY_ID)
-        return matches
+        entries = self.walk(window, offset)[0]
+        entries.sort(key=_BY_ID)
+        return entries
 
 
 class _PairText(dict):

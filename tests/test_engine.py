@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig
-from nextstep.engine import context_fit, relevance_mean
+from nextstep.engine import ENGINE_MODES, EXTENSION_DIRECTIONS, context_fit, relevance_mean
 from nextstep.errors import UnknownIdError, WindowRangeError
 from nextstep.lookupdb import (
     ContextSlot,
@@ -735,7 +735,7 @@ def test_children_take_ids_in_their_parents_id_order(direction):
                          extension_direction=direction)
     for step in (4, 1, 2, 3):
         engine.window.push(Observation(step))
-    assert [e.entry_id for e in engine.db.walk(engine.window)] == [1, 0]
+    assert [e.entry_id for e in engine.db.walk(engine.window)[0]] == [1, 0]
     assert engine.predict().step == 4
     assert engine.learn(Observation(4)) is True
     children = [(c.condition, c.prediction) for c in list(engine.db)[2:]]
@@ -1099,6 +1099,32 @@ def test_a_mature_context_step_reads_the_context_table_once(monkeypatch, directi
     assert predictions == lap * 10
     assert len(engine.db) == size
     assert calls == [engine.window] * 30
+
+
+@pytest.mark.parametrize("mode", ENGINE_MODES)
+@pytest.mark.parametrize("direction", EXTENSION_DIRECTIONS)
+def test_the_state_a_step_reads_is_never_stale(mode, direction):
+    # learn() grows the memoised walk path in place when it stores a
+    # rule; the memo must be read again before anything uses it.  The
+    # run of 3s makes extend-into-past children that also match the
+    # window after the push.
+    engine = make_engine(engine_mode=mode, extension_direction=direction)
+    rng = random.Random(11)
+    lap = itertools.cycle((1, 2, 3, 3, 3, 1, 4))
+    stored_on_a_correct_step = 0
+    for _ in range(120):
+        step = next(lap) if rng.random() < 0.8 else rng.randint(1, 4)
+        engine.predict()
+        size = len(engine.db)
+        correct = engine.learn(Observation(step, {0: rng.randrange(3)}))
+        stored_on_a_correct_step += correct is True and len(engine.db) > size
+        entries, path, table = engine._state()
+        fresh_entries, fresh_path = engine.db.walk(engine.window)
+        assert list(map(id, entries)) == list(map(id, fresh_entries))
+        assert list(map(id, path)) == list(map(id, fresh_path))
+        assert table == engine.window.context_table()
+    assert stored_on_a_correct_step > 0
+    assert {len(entry.condition) for entry in engine.db} > {1}
 
 
 def test_counters_stay_conserved_on_random_traffic():

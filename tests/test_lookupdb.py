@@ -230,7 +230,7 @@ def test_matching_entries_ids_are_sorted():
     window = window_from([1, 2, 3])
     assert [e.entry_id for e in db.matching_entries(window, 0)] == [0, 1, 2]
     # The walk itself yields trie order: shorter conditions first.
-    assert [e.entry_id for e in db.walk(window, 0)] == [0, 2, 1]
+    assert [e.entry_id for e in db.walk(window, 0)[0]] == [0, 2, 1]
 
 
 def test_matching_entries_rejects_a_negative_offset():
@@ -334,11 +334,12 @@ def test_matching_entries_equals_per_entry_matching(grow):
         assert slow == [e.entry_id for e in db if condition_matches(e, window, offset)]
         # walk() holds the same entries in trie order: by condition
         # length, then id.  It is what the engine reads at offset 0.
-        walked = db.walk(window, offset)
+        walked, path = db.walk(window, offset)
         assert sorted(e.entry_id for e in walked) == fast
         assert [(len(e.condition), e.entry_id) for e in walked] == sorted(
             (len(e.condition), e.entry_id) for e in walked)
-        assert walked.path == found.path
+        # The entries are the rules of the path's nodes, node by node.
+        assert walked == [e for node in path for e in node.rules.values()]
         # path holds the nodes the walk passed: node k holds the matches
         # of length k + 1, and the path ends where no stored condition
         # has the run's newest steps as its suffix any more.
@@ -349,8 +350,8 @@ def test_matching_entries_equals_per_entry_matching(grow):
             for e in db if len(e.condition) > depth
         ):
             depth += 1
-        assert len(found.path) == depth
-        for length, node in enumerate(found.path, start=1):
+        assert len(path) == depth
+        for length, node in enumerate(path, start=1):
             assert node_ids(node) == {e.prediction: e.entry_id for e in found
                                       if len(e.condition) == length}
         assert all(len(e.condition) <= depth for e in found)
@@ -369,14 +370,15 @@ def test_trie_is_exact_on_a_path_only_a_longer_rule_spelled():
     assert find_entry(db, (2, 3), 4) is None
     assert find_entry(db, (3,), 4) is None
     assert find_entry(db, (1, 2, 3), 2) is None
-    assert [node_ids(node) for node in db.matching_entries(window_from([2, 3])).path] == [{}, {}]
+    assert [node_ids(node) for node in db.walk(window_from([2, 3]))[1]] == [{}, {}]
     entry = db.add((2, 3), 4, 0.25)
     assert find_entry(db, (2, 3), 4) is entry
     assert find_entry(db, (1, 2, 3), 4).entry_id == 0
-    found = db.matching_entries(window_from([1, 2, 3]))
-    assert [e.entry_id for e in found] == [0, 1]
-    assert [node_ids(node) for node in found.path] == [{}, {4: 1}, {4: 0}]
-    assert found.path[1].rules[4] is entry
+    window = window_from([1, 2, 3])
+    assert [e.entry_id for e in db.matching_entries(window)] == [0, 1]
+    path = db.walk(window)[1]
+    assert [node_ids(node) for node in path] == [{}, {4: 1}, {4: 0}]
+    assert path[1].rules[4] is entry
 
 
 def node_ids(node):
@@ -386,9 +388,10 @@ def node_ids(node):
 
 def lookup_state(db, windows):
     return [
-        ([e.entry_id for e in found], [node_ids(node) for node in found.path])
+        ([e.entry_id for e in db.matching_entries(window, offset)],
+         [node_ids(node) for node in db.walk(window, offset)[1]])
         for window in windows
-        for found in (db.matching_entries(window, offset) for offset in range(3))
+        for offset in range(3)
     ]
 
 

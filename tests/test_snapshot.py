@@ -594,7 +594,8 @@ def test_rules_over_a_repeated_condition_land_on_its_trie_node():
         window.push(Observation(step, {}))
     matches = db.matching_entries(window)
     assert [entry.entry_id for entry in matches] == [0, 1, 2, 3]
-    assert matches.path[1].rules == {3: list(db)[0], 4: list(db)[2], 1: list(db)[3]}
+    path = db.walk(window)[1]
+    assert path[1].rules == {3: list(db)[0], 4: list(db)[2], 1: list(db)[3]}
 
 
 # (lines, line number, message): a repeat of an earlier slot line that
