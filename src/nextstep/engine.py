@@ -18,8 +18,8 @@ from .lookupdb import (
     Entry,
     LookupDB,
     SlotKey,
-    context_fit,
     record_contexts,
+    relevance_mean,
     slot_keys,
     split_slot_key,
 )
@@ -72,21 +72,6 @@ class PredictorConfig:
 def _require_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
     if value not in allowed:
         raise ValueError(f"{name} must be one of {', '.join(allowed)}; got {value!r}")
-
-
-def relevance_mean(strong: list[float] | None) -> float:
-    """Mean of context_fit()'s strong weights, a fit in [0, 1].
-
-    No evidence at all (None) means nothing speaks against the entry: 1.
-    Evidence where no weight clears theta ([]) vetoes the entry: 0.
-    Every weight is a count over a total, so the mean never exceeds 1;
-    predict() relies on that to stop scoring once no entry can win.
-    """
-    if strong is None:
-        return 1.0
-    if not strong:
-        return 0.0
-    return sum(strong) / len(strong)
 
 
 class PredictionResult(NamedTuple):
@@ -192,9 +177,7 @@ class Engine:
             if entry.p < best_actual_p:
                 break
             if scoring:
-                fit = relevance_mean(
-                    context_fit(entry, table, keys, self.config.theta)
-                )
+                fit = relevance_mean(entry, table, keys, self.config.theta)
             else:
                 fit = 1.0
             actual_p = fit * entry.p

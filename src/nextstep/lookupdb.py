@@ -152,49 +152,6 @@ def slot_keys(
     )
 
 
-def context_fit(
-    entry: Entry,
-    table: ContextTable,
-    keys: SlotKeys,
-    theta: float,
-) -> list[float] | None:
-    """The strong weights of the window's contexts under the entry's counters.
-
-    ``table`` is the window's ObservationWindow.context_table(), ``keys``
-    the engine's lookupdb.slot_keys(), and the entry must match the
-    window at offset 0.  A cell is evidence where the window knows the
-    context and the entry has counted that classification at that
-    position; its weight is ContextSlot.weight of the context, 0 for a
-    context never counted there.  Returns the weights above ``theta``,
-    oldest position first, then classification ascending, or None when
-    no cell is evidence at all.
-    """
-    length = len(entry.condition)
-    if length > len(table):
-        raise _table_too_short(length, len(table))
-    slots = entry.slots
-    if not slots:
-        return None
-    strong: list[float] = []
-    counted = False
-    for pos in range(length - 1, -1, -1):
-        contexts = table[pos]
-        for cc, key in keys[pos]:
-            ctx = contexts.get(cc)
-            if ctx is None:
-                continue
-            slot = slots.get(key)
-            if slot is None:
-                continue
-            counted = True
-            # ContextSlot.weight, inline: one method call per cell is
-            # most of this loop's cost.
-            weight = slot.per_context.get(ctx, 0) / slot.total
-            if weight > theta:
-                strong.append(weight)
-    return strong if counted else None
-
-
 def record_contexts(
     entries: Sequence[Entry],
     table: ContextTable,
@@ -205,13 +162,13 @@ def record_contexts(
     ``table`` holds context mappings newest first, as
     ObservationWindow.context_table() does, and condition index -pos
     reads ``table[pos]`` under the premade ``keys[pos]`` of slot_keys().
-    Every entry must match the table's window at offset 0, as for
-    context_fit(); the engine passes all the rules one step counts in
-    one call.  Each entry's length is checked against the table before
-    anything is copied or counted, so a rejected batch leaves every
-    slot and every Entry.shared mark as it was.  An entry marked shared
-    then gets its own copy of each of its slots, and loses the mark,
-    before it counts: a slot a loaded snapshot shares is never written.
+    Every entry must match the table's window at offset 0; the engine
+    passes all the rules one step counts in one call.  Each entry's
+    length is checked against the table before anything is copied or
+    counted, so a rejected batch leaves every slot and every
+    Entry.shared mark as it was.  An entry marked shared then gets its
+    own copy of each of its slots, and loses the mark, before it
+    counts: a slot a loaded snapshot shares is never written.
     Absent contexts are skipped entirely, so a slot's total only grows
     when its classification was actually observed there.
     """
@@ -239,6 +196,55 @@ def record_contexts(
                     slot.total += 1
                     counts = slot.per_context
                     counts[ctx] = counts.get(ctx, 0) + 1
+
+
+def relevance_mean(
+    entry: Entry,
+    table: ContextTable,
+    keys: SlotKeys,
+    theta: float,
+) -> float:
+    """The fit in [0, 1] of the window's contexts to the entry's counters.
+
+    Arguments are as for record_contexts(), one entry at a time.  A cell
+    is evidence where the window knows the context and the entry has
+    counted that classification at that position; its weight is
+    ContextSlot.weight of the context.  The fit is the mean of the
+    weights above ``theta``, added left to right in cell order (oldest
+    position first, then classification ascending) so that every
+    CPython gives the same float.  No evidence at all scores 1, and
+    evidence with no weight above ``theta`` vetoes the entry: 0.  A
+    weight is a count over a total, so the fit never exceeds 1;
+    Engine.predict() relies on that to stop scoring early.
+    """
+    length = len(entry.condition)
+    if length > len(table):
+        raise _table_too_short(length, len(table))
+    slots = entry.slots
+    if not slots:
+        return 1.0
+    total = 0.0
+    strong = 0
+    counted = False
+    for pos in range(length - 1, -1, -1):
+        contexts = table[pos]
+        for cc, key in keys[pos]:
+            ctx = contexts.get(cc)
+            if ctx is None:
+                continue
+            slot = slots.get(key)
+            if slot is None:
+                continue
+            counted = True
+            # ContextSlot.weight, inline: one method call per cell is
+            # most of this loop's cost.
+            weight = slot.per_context.get(ctx, 0) / slot.total
+            if weight > theta:
+                total += weight
+                strong += 1
+    if strong:
+        return total / strong
+    return 0.0 if counted else 1.0
 
 
 _BY_ID = attrgetter("entry_id")

@@ -79,6 +79,22 @@ def brute_match(condition: list[int], steps_newest_first: list[int], offset: int
     return oldest_first[end - length:end] == list(condition)
 
 
+def fit_of_weights(weights, theta):
+    """The fit of evidence cells of these weights, in cell order: 1.0
+    for no cell, 0.0 when no weight is above theta, else the mean of
+    those above, added left to right.  Not sum(): from CPython 3.12 on
+    it compensates its rounding, and the fit is one float everywhere."""
+    if not weights:
+        return 1.0
+    above = [w for w in weights if w > theta]
+    if not above:
+        return 0.0
+    total = 0.0
+    for w in above:
+        total += w
+    return total / len(above)
+
+
 class RefEngine:
     """Minimal re-derivation of the predictor, newest-last layout."""
 
@@ -132,13 +148,7 @@ class RefEngine:
         return out
 
     def _relevance(self, entry):
-        weights = [weight for _, _, _, weight in self.evidence(entry)]
-        if not weights:
-            return 1.0
-        above = [w for w in weights if w > self.theta]
-        if not above:
-            return 0.0
-        return sum(above) / len(above)
+        return fit_of_weights([w for *_, w in self.evidence(entry)], self.theta)
 
     def predict(self):
         scored = []

@@ -178,7 +178,7 @@ def test_criterion_6_baseline_equals_forced_relevance(capsys, monkeypatch):
         trace, PredictorConfig(engine_mode="baseline")
     )
     monkeypatch.setattr(nextstep.engine, "relevance_mean",
-                        lambda strong: 1.0)
+                        lambda entry, table, keys, theta: 1.0)
     shadow_engine, shadow_rows = run_trace(
         trace, PredictorConfig(engine_mode="context")
     )

@@ -12,19 +12,20 @@ from hypothesis import given, strategies as st
 
 import nextstep.engine
 from nextstep import Engine, Observation, PredictorConfig
-from nextstep.engine import ENGINE_MODES, EXTENSION_DIRECTIONS, context_fit, relevance_mean
+from nextstep.engine import ENGINE_MODES, EXTENSION_DIRECTIONS
 from nextstep.errors import UnknownIdError, WindowRangeError
 from nextstep.lookupdb import (
     ContextSlot,
     LookupDB,
     dump_snapshot,
     parse_snapshot,
+    relevance_mean,
     slot_key,
     slot_keys,
     split_slot_key,
 )
 from nextstep.window import ObservationWindow
-from .reference import RefEngine, find_entry
+from .reference import RefEngine, find_entry, fit_of_weights
 
 ALPHA = 0.8
 Q = 1.0 - ALPHA
@@ -129,7 +130,7 @@ def test_learn_rejects_a_step_that_is_not_an_int_without_mutating(
 
 
 def fit_of(slots, contexts, theta=0.5):
-    """context_fit of a length-len(contexts) rule whose counters are
+    """relevance_mean of a length-len(contexts) rule whose counters are
     ``slots``, against a window whose oldest-first context records are
     ``contexts``; classifications 0 and 1 are declared."""
     window = ObservationWindow(5, steps=(1,), classifications=(0, 1))
@@ -137,53 +138,48 @@ def fit_of(slots, contexts, theta=0.5):
         window.push(Observation(1, record))
     entry = LookupDB().add((1,) * len(contexts), 1, 0.5)
     entry.slots.update(slots)
-    return context_fit(entry, window.context_table(), slot_keys((0, 1), 5), theta)
+    return relevance_mean(entry, window.context_table(), slot_keys((0, 1), 5), theta)
 
 
 def test_relevance_of_no_evidence_is_one():
-    assert relevance_mean(None) == 1.0
+    assert fit_of({}, [{0: 5}]) == 1.0
+    # counters only where the window has no context
+    assert fit_of({slot_key(1, 0): slot_of(5)}, [{0: 5}]) == 1.0
 
 
 def test_relevance_with_nothing_above_threshold_is_zero():
-    assert relevance_mean([]) == 0.0
     # weights 0.5, 0.0 and 0.25: evidence, none of it strong
     slots = {
         slot_key(0, -1): slot_of(5, 6),
         slot_key(1, -1): slot_of(5),
         slot_key(0, 0): slot_of(1, 2, 2, 2),
     }
-    assert fit_of(slots, [{0: 5, 1: 6}, {0: 1}]) == []
+    assert fit_of(slots, [{0: 5, 1: 6}, {0: 1}]) == 0.0
 
 
 def test_relevance_averages_only_weights_above_threshold():
-    assert relevance_mean([0.9, 0.6]) == (0.9 + 0.6) / 2
     # weights 1.0, 0.25 and 2/3: the weak middle one is dropped
     slots = {
         slot_key(0, -1): slot_of(5),
         slot_key(1, -1): slot_of(1, 2, 2, 2),
         slot_key(0, 0): slot_of(4, 4, 3),
     }
-    strong = fit_of(slots, [{0: 5, 1: 1}, {0: 4}])
-    assert strong == [1.0, 2 / 3]
-    assert relevance_mean(strong) == (1.0 + 2 / 3) / 2
+    assert fit_of(slots, [{0: 5, 1: 1}, {0: 4}]) == (1.0 + 2 / 3) / 2
 
 
 def test_relevance_threshold_is_strict():
     # a weight equal to theta is not strong
-    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.5) == []
-    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.499999) == [0.5]
+    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.5) == 0.0
+    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}], theta=0.499999) == 0.5
 
 
 def test_no_evidence_scores_one_and_weak_evidence_vetoes():
-    # None and [] differ: slots only where the window has no context
-    # are no evidence at all, counted weak weights are a veto
+    # slots only where the window has no context are no evidence at
+    # all, counted weak weights are a veto
     absent = fit_of({slot_key(1, 0): slot_of(5), slot_key(0, -1): slot_of(5)}, [{}, {0: 5}])
-    assert absent is None
-    assert relevance_mean(absent) == 1.0
-    weak = fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}])
-    assert weak == []
-    assert relevance_mean(weak) == 0.0
-    assert fit_of({}, [{0: 5}]) is None
+    assert absent == 1.0
+    assert fit_of({slot_key(0, 0): slot_of(5, 6)}, [{0: 5}]) == 0.0
+    assert fit_of({}, [{0: 5}]) == 1.0
 
 
 _SEEN = st.lists(st.integers(0, 3), min_size=1, max_size=6)
@@ -226,9 +222,7 @@ def test_relevance_stays_within_unit_interval(positions, theta):
         for pos, (_, counted) in enumerate(positions)
         for cc, seen in counted.items()
     }
-    strong = fit_of(slots, [record for record, _ in positions], theta)
-    assert strong is not None
-    assert 0.0 <= relevance_mean(strong) <= 1.0
+    assert 0.0 <= fit_of(slots, [record for record, _ in positions], theta) <= 1.0
 
 
 def test_context_fit_reads_condition_positions():
@@ -239,11 +233,12 @@ def test_context_fit_reads_condition_positions():
     entry = db.add((1, 2), 1, 0.5)
     entry.slots[slot_key(0, -1)] = slot_of(7)
     entry.slots[slot_key(0, 0)] = slot_of(8, 8, 9)
-    got = context_fit(entry, window.context_table(), slot_keys((0, 1), 5), 0.5)
+    got = relevance_mean(entry, window.context_table(), slot_keys((0, 1), 5), 0.5)
     # classification 1 at index -1 is absent from the window record and
     # the (1, 0) slot was never counted, so neither contributes; index
-    # -1's weight comes before index 0's
-    assert got == [1.0, 2 / 3]
+    # -1 reads context 7 (weight 1.0) and index 0 context 8 (2/3), where
+    # swapped positions would read weights of 0
+    assert got == (1.0 + 2 / 3) / 2
 
 
 def test_context_fit_counts_mismatching_context_as_zero_weight():
@@ -252,11 +247,10 @@ def test_context_fit_counts_mismatching_context_as_zero_weight():
     db = LookupDB()
     entry = db.add((1,), 1, 0.5)
     entry.slots[slot_key(0, 0)] = slot_of(5)
-    got = context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.0)
+    got = relevance_mean(entry, window.context_table(), slot_keys((0,), 5), 0.0)
     # one piece of evidence of weight 0, not strong even at theta 0:
     # hard veto
-    assert got == []
-    assert relevance_mean(got) == 0.0
+    assert got == 0.0
 
 
 def test_context_fit_rejects_a_condition_longer_than_the_table():
@@ -266,7 +260,27 @@ def test_context_fit_rejects_a_condition_longer_than_the_table():
     entry = db.add((2, 3), 1, 0.5)
     entry.slots[slot_key(0, 0)] = slot_of(5)
     with pytest.raises(WindowRangeError):
-        context_fit(entry, window.context_table(), slot_keys((0,), 5), 0.5)
+        relevance_mean(entry, window.context_table(), slot_keys((0,), 5), 0.5)
+
+
+def test_fit_adds_strong_weights_left_to_right_on_every_cpython():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 added left to right, but
+    # sum() gives 0.6 from CPython 3.12 on.  Only the left-to-right fit
+    # lets the long rule beat the short one's fit of 0.2.
+    db = LookupDB()
+    long = db.add((1, 1, 1), 2, 0.5)
+    for index, (context, count) in enumerate([(5, 1), (6, 2), (7, 3)], start=-2):
+        long.slots[slot_key(0, index)] = ContextSlot(10, {context: count})
+    db.add((1,), 3, 0.5).slots[slot_key(0, 0)] = ContextSlot(10, {7: 2})
+    engine = make_engine(theta=0.0, steps=(1, 2, 3), classifications=(0,), db=db)
+    for context in (5, 6, 7):
+        engine.window.push(Observation(1, {0: context}))
+    fit = relevance_mean(
+        long, engine.window.context_table(), slot_keys((0,), 3), 0.0
+    )
+    assert fit == (0.1 + 0.2 + 0.3) / 3
+    result = engine.predict()
+    assert (result.step, result.actual_p) == (2, 0.5 * ((0.1 + 0.2 + 0.3) / 3))
 
 
 # -- prediction and ranking -------------------------------------------------
@@ -396,9 +410,9 @@ def test_scan_stops_once_no_rule_can_win(monkeypatch):
 
     def counting_fit(*args):
         calls.append(args[0].entry_id)
-        return context_fit(*args)
+        return relevance_mean(*args)
 
-    monkeypatch.setattr(nextstep.engine, "context_fit", counting_fit)
+    monkeypatch.setattr(nextstep.engine, "relevance_mean", counting_fit)
     assert len(engine.db.matching_entries(engine.window)) == 4
     assert engine.predict().step == 1
     assert calls == [0]
@@ -776,7 +790,7 @@ def test_baseline_equals_relevance_forced_to_one(monkeypatch):
         trace, PredictorConfig(engine_mode="baseline")
     )
     monkeypatch.setattr(
-        nextstep.engine, "relevance_mean", lambda strong: 1.0
+        nextstep.engine, "relevance_mean", lambda entry, table, keys, theta: 1.0
     )
     shadow_engine, shadow_rows = run_trace(
         trace, PredictorConfig(engine_mode="context")
@@ -881,29 +895,26 @@ def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
 ):
     # Slot keys are premade per position from the sorted classifications;
     # sparse ids declared out of order catch a table built in declaration
-    # order or at the wrong position.  Every scored rule's strong weights,
-    # in order, must equal those of the shadow's evidence.
+    # order or at the wrong position.  Every scored rule's fit must equal
+    # the one its weights in the shadow's evidence make, added in order.
     classifications = (9, 3, 5)
     scored = []
     compared = 0
 
     def recording_fit(entry, table, keys, theta):
-        strong = context_fit(entry, table, keys, theta)
-        scored.append((entry.entry_id, strong))
-        return strong
+        fit = relevance_mean(entry, table, keys, theta)
+        scored.append((entry.entry_id, fit))
+        return fit
 
     def compare_evidence(t):
         nonlocal compared
-        for entry_id, strong in scored:
-            evidence = shadow.evidence(shadow.entries[entry_id])
-            if evidence:
-                assert strong == [w for *_, w in evidence if w > shadow.theta]
-            else:
-                assert strong is None
-            compared += strong is not None and len(strong) > 1
+        for entry_id, fit in scored:
+            weights = [w for *_, w in shadow.evidence(shadow.entries[entry_id])]
+            assert fit == fit_of_weights(weights, shadow.theta)
+            compared += sum(w > shadow.theta for w in weights) > 1
         scored.clear()
 
-    monkeypatch.setattr(nextstep.engine, "context_fit", recording_fit)
+    monkeypatch.setattr(nextstep.engine, "relevance_mean", recording_fit)
     for seed in (31, 32, 33):
         rng = random.Random(seed)
         config = PredictorConfig(engine_mode=mode, window_capacity=capacity)
@@ -915,25 +926,25 @@ def test_sparse_classifications_declared_out_of_order_agree_with_shadow(
 
 
 def test_context_fit_weights_equal_the_slot_weights(monkeypatch):
-    # context_fit computes ContextSlot.weight inline; every weight it
-    # returns must be exactly the slot weight of its cell, in cell order.
+    # relevance_mean computes ContextSlot.weight inline; its fit must be
+    # exactly the one the slot weights of its cells make, in cell order.
     classifications = (9, 3, 5)
     checked = 0
 
     def checking_fit(entry, table, keys, theta):
         nonlocal checked
-        strong = context_fit(entry, table, keys, theta)
-        expected = []
+        fit = relevance_mean(entry, table, keys, theta)
+        weights = []
         for pos in range(len(entry.condition) - 1, -1, -1):
             for cc in sorted(classifications):
                 slot = entry.slots.get(slot_key(cc, -pos))
                 if cc in table[pos] and slot is not None:
-                    expected.append(slot.weight(table[pos][cc]))
-        assert strong == ([w for w in expected if w > theta] if expected else None)
-        checked += len(strong or ())
-        return strong
+                    weights.append(slot.weight(table[pos][cc]))
+        assert fit == fit_of_weights(weights, theta)
+        checked += sum(w > theta for w in weights) > 1
+        return fit
 
-    monkeypatch.setattr(nextstep.engine, "context_fit", checking_fit)
+    monkeypatch.setattr(nextstep.engine, "relevance_mean", checking_fit)
     rng = random.Random(34)
     engine = Engine(PredictorConfig(), steps=(1, 2, 3, 4), classifications=classifications)
     for step, contexts in random_events(rng, 400, classifications):
