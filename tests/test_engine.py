@@ -275,9 +275,7 @@ def test_fit_adds_strong_weights_left_to_right_on_every_cpython():
     engine = make_engine(theta=0.0, steps=(1, 2, 3), classifications=(0,), db=db)
     for context in (5, 6, 7):
         engine.window.push(Observation(1, {0: context}))
-    fit = relevance_mean(
-        long, engine.window.context_table(), slot_keys((0,), 3), 0.0
-    )
+    fit = relevance_mean(long, engine.window.context_table(), slot_keys((0,), 3), 0.0)
     assert fit == (0.1 + 0.2 + 0.3) / 3
     result = engine.predict()
     assert (result.step, result.actual_p) == (2, 0.5 * ((0.1 + 0.2 + 0.3) / 3))
