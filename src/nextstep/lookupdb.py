@@ -392,16 +392,6 @@ class _PairText(dict):
         return text
 
 
-class _ConditionText(dict):
-    """Comma-separated text of each condition, made on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, condition: tuple[StepId, ...]) -> str:
-        text = self[condition] = ",".join(map(str, condition))
-        return text
-
-
 def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     """Canonical snapshot text, each line ending in a newline.
 
@@ -428,10 +418,13 @@ def dump_snapshot(db: LookupDB, alpha: float, theta: float) -> str:
     heads: dict[SlotKey, str] = {}
     # (total, *ids, *counts) -> "<total> ctx:count ...\n", made once.
     lists: dict[tuple[int, ...], str] = {}
-    cond_text = _ConditionText()
+    # Condition -> its comma-separated text, made once.
+    conds: dict[tuple[StepId, ...], str] = {}
     pair_text = _PairText().__getitem__
     for entry in db:
-        cond = cond_text[entry.condition]
+        cond = conds.get(entry.condition)
+        if cond is None:
+            cond = conds[entry.condition] = ",".join(map(str, entry.condition))
         lines.append(f"E {entry.entry_id} cond={cond} pred={entry.prediction} p={entry.p!r}\n")
         # Int keys sort as their (cc, index) pairs do.
         for key, slot in sorted(entry.slots.items()):
@@ -469,14 +462,16 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
 
     A grown database repeats itself, so each piece of work that depends
     on the text alone is done once per call, and only what depends on a
-    line's place under the current entry is done per line, by the same
-    helpers and with the same messages:
+    line's place under the current entry is done per line.  A line is
+    read in one frame, whose one ``except`` adds the line number:
 
-    - each distinct slot line is read once; a repeat has its place
-      under the current entry checked again;
+    - each distinct slot line is read once: a repeat gets its first
+      reading, slot included, and a new line a reading of its head,
+      with no slot yet.  Either has its place under the current entry
+      checked in one place, a new line before its counter list;
     - each distinct counter list, the text from ``total=`` to the end
       of a slot line, is read once; a new slot line that repeats one
-      has only its head read and its place checked;
+      gets the slot read first;
     - each distinct ``cond=`` token is read, checked and walked down
       the trie once; a rule over it is stored on the trie path found
       then, after its own prediction, ``p`` and taken-pair checks.
@@ -495,10 +490,10 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     current: Entry | None = None
     # One shared int per distinct slot key, made once per (cc, index).
     keys: dict[tuple[ClassificationId, int], SlotKey] = {}
-    # Raw text of each slot line read so far -> _parse_slot's reading.
-    # Only a line that passed is here, and only once a header and an
-    # entry were read; neither is ever undone.  The two tables below
-    # likewise hold only text that passed.
+    # Raw text of each slot line that passed -> its full reading, slot
+    # included.  Each came after a header and an entry, and neither is
+    # ever undone.  The two tables below likewise hold only text that
+    # passed.
     seen: dict[str, _SlotReading] = {}
     # Counter list text -> the slot first read from it, which every
     # slot line with that list shares.
@@ -506,32 +501,40 @@ def parse_snapshot(source: str | TextIO) -> tuple[LookupDB, float, float]:
     # cond= token -> (its condition, the trie path of that condition).
     conditions: dict[str, tuple[tuple[StepId, ...], list[_Node]]] = {}
     for line_no, raw in enumerate(source, start=1):
-        reading = seen.get(raw)
-        if reading is not None:
-            cc, index, key, slot = reading
-            try:
-                _check_slot_place(current, cc, index, key)
-            except ValueError as exc:
-                raise SnapshotFormatError(line_no, str(exc)) from None
-            current.slots[key] = slot
-            continue
-        # Tag, two head fields and the rest: a slot line's counter list
-        # is split into its tokens only when it is new.
-        fields = raw.split(None, 3)
-        if not fields or fields[0][0] == "#":
-            continue
-        tag = fields[0]
         try:
-            reject_loose_numbers(raw)
-            # Slot lines are most of a snapshot: test their tag first.
-            if tag == "S" and alpha is not None:
-                seen[raw] = _parse_slot(fields, current, keys, counters)
-            elif alpha is None:
-                alpha, theta = _parse_header(raw.split())
-            elif tag == "E":
-                current = _parse_entry(raw.split(), db, conditions)
-            else:
-                raise ValueError(f"unknown line tag {tag!r}")
+            reading = seen.get(raw)
+            if reading is None:
+                # Tag, two head fields and the rest: a slot line's
+                # counter list is split into its tokens only when new.
+                fields = raw.split(None, 3)
+                if not fields or fields[0][0] == "#":
+                    continue
+                tag = fields[0]
+                reject_loose_numbers(raw)
+                # Slot lines are most of a snapshot: test their tag first.
+                if tag == "S" and alpha is not None:
+                    reading = _parse_slot_head(fields, current, keys)
+                elif alpha is None:
+                    alpha, theta = _parse_header(raw.split())
+                    continue
+                elif tag == "E":
+                    current = _parse_entry(raw.split(), db, conditions)
+                    continue
+                else:
+                    raise ValueError(f"unknown line tag {tag!r}")
+            # A slot line, new or repeated: its place, then its counters.
+            cc, index, key, slot = reading
+            low = 1 - len(current.condition)
+            if not low <= index <= 0:
+                raise ValueError(f"condition index {index} outside [{low}, 0]")
+            if key in current.slots:
+                raise ValueError(f"duplicate slot for classification {cc} index {index}")
+            if slot is None:
+                slot = counters.get(fields[3])
+                if slot is None:
+                    slot = counters[fields[3]] = _parse_counters(fields[3].split())
+                seen[raw] = cc, index, key, slot
+            current.slots[key] = slot
         except ValueError as exc:
             raise SnapshotFormatError(line_no, str(exc)) from None
     if alpha is None:
@@ -602,34 +605,21 @@ def _parse_entry(
     return entry
 
 
-# What a slot line says, whatever entry it sits under:
-# (cc, index, slot_key(cc, index), the slot read from it).
-_SlotReading = tuple[ClassificationId, int, SlotKey, ContextSlot]
+# What a slot line says, whatever entry it sits under: (cc, index,
+# slot_key(cc, index), its counter list's slot, None until read).
+_SlotReading = tuple[ClassificationId, int, SlotKey, ContextSlot | None]
 
 
-def _check_slot_place(entry: Entry, cc: ClassificationId, index: int, key: SlotKey) -> None:
-    """The checks of a slot line that depend on the entry it sits under."""
-    if not 1 - len(entry.condition) <= index <= 0:
-        raise ValueError(f"condition index {index} outside [{1 - len(entry.condition)}, 0]")
-    if key in entry.slots:
-        raise ValueError(f"duplicate slot for classification {cc} index {index}")
-
-
-def _parse_slot(
+def _parse_slot_head(
     fields: list[str],
     entry: Entry | None,
     keys: dict[tuple[ClassificationId, int], SlotKey],
-    counters: dict[str, ContextSlot],
 ) -> _SlotReading:
-    """Store a slot line's slot in ``entry`` and return its reading.
+    """A new slot line's reading from its head, with no slot yet.
 
     ``fields`` is the line split at its first three runs of whitespace,
-    so ``fields[3]`` is its counter list.  A counter list in
-    ``counters`` passed every check before and is not read again; the
-    entry gets the slot first read from it, shared with every other
-    slot line that repeats the list.  A new one that passes is added
-    there with the slot read from it.  The reading holds the slot the
-    entry got.
+    so ``fields[3]`` is its counter list, which parse_snapshot reads
+    only after it has checked the line's place under ``entry``.
     """
     if entry is None:
         raise ValueError("slot line before any entry line")
@@ -641,12 +631,7 @@ def _parse_slot(
     key = keys.get(pair)
     if key is None:
         key = keys[pair] = slot_key(cc, index)
-    _check_slot_place(entry, cc, index, key)
-    slot = counters.get(fields[3])
-    if slot is None:
-        slot = counters[fields[3]] = _parse_counters(fields[3].split())
-    entry.slots[key] = slot
-    return cc, index, key, slot
+    return cc, index, key, None
 
 
 def _parse_counters(tokens: list[str]) -> ContextSlot:

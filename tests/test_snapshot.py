@@ -598,13 +598,23 @@ def test_rules_over_a_repeated_condition_land_on_its_trie_node():
     assert path[1].rules == {3: list(db)[0], 4: list(db)[2], 1: list(db)[3]}
 
 
-# (lines, line number, message): a repeat of an earlier slot line that
-# does not fit where it now sits.
+# (lines, line number, message): a slot line that does not fit where it
+# sits, whether it repeats an earlier line or is new.  A new line's place
+# is checked after its head and before its counter list, so a repeated
+# list does not hide a bad place and a bad place is named before a bad
+# list.
 MISPLACED_REPEATS = [
     (["E 0 cond=1,2 pred=3 p=0.5", "S 0 -1 total=1 5:1",
       "E 1 cond=1 pred=3 p=0.5", "S 0 -1 total=1 5:1"],
      5, "condition index -1 outside [0, 0]"),
     (["E 0 cond=1 pred=2 p=0.5", "S 0 0 total=1 5:1", "S 0 0 total=1 5:1"],
+     4, "duplicate slot for classification 0 index 0"),
+    (["E 0 cond=1,2 pred=3 p=0.5", "S 0 -1 total=1 5:1",
+      "E 1 cond=1 pred=3 p=0.5", "S 1 -1 total=1 5:1"],
+     5, "condition index -1 outside [0, 0]"),
+    (["E 0 cond=1 pred=3 p=0.5", "S 0 -1 total=1 5:0"],
+     3, "condition index -1 outside [0, 0]"),
+    (["E 0 cond=1 pred=2 p=0.5", "S 0 0 total=1 5:1", "S 0 0 total=2 5:2"],
      4, "duplicate slot for classification 0 index 0"),
 ]
 
@@ -612,7 +622,10 @@ MISPLACED_REPEATS = [
 @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("kind", ["str", "stringio", "path"])
 @pytest.mark.parametrize(
-    "lines,line_no,message", MISPLACED_REPEATS, ids=["shorter-entry", "same-entry"]
+    "lines,line_no,message",
+    MISPLACED_REPEATS,
+    ids=["shorter-entry", "same-entry", "new-head-shorter-entry", "new-line-bad-list",
+         "new-list-same-key"],
 )
 def test_a_misplaced_repeated_slot_line_names_its_own_line(
     lines, line_no, message, kind, end, tmp_path
